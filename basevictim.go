@@ -242,18 +242,5 @@ func DefaultCacheConfig() CacheConfig { return ccache.DefaultConfig() }
 // NewCache builds a standalone cache organization: "uncompressed",
 // "twotag", "twotag-mod", "basevictim" or "vsc2x".
 func NewCache(kind string, cfg CacheConfig) (CacheOrg, error) {
-	switch sim.OrgKind(kind) {
-	case sim.OrgUncompressed:
-		return ccache.NewUncompressed(cfg)
-	case sim.OrgTwoTag:
-		return ccache.NewTwoTag(cfg)
-	case sim.OrgTwoTagMod:
-		return ccache.NewTwoTagModified(cfg)
-	case sim.OrgBaseVictim:
-		return ccache.NewBaseVictim(cfg)
-	case sim.OrgVSC:
-		return ccache.NewVSCFunctional(cfg)
-	default:
-		return nil, fmt.Errorf("basevictim: unknown cache kind %q", kind)
-	}
+	return ccache.New(kind, cfg)
 }

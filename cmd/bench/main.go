@@ -23,8 +23,9 @@
 //
 // Compare mode prints a benchstat-style delta table between two
 // snapshots and exits with cliexit.Gate (6) if any throughput entry
-// regressed by more than -max-regress percent, which is what the CI
-// perf-smoke job runs against the checked-in baseline.
+// of the old snapshot regressed by more than -max-regress percent or
+// is missing from the new one, which is what the CI perf-smoke job
+// runs against the checked-in baseline.
 package main
 
 import (
@@ -446,10 +447,11 @@ func pctDelta(old, new float64, haveOld, haveNew bool) string {
 }
 
 // compareSnapshots prints a delta table between two BENCH snapshots
-// and fails when any throughput entry present in both regressed by
-// more than maxRegress percent. Only throughput MIPS gates: experiment
-// wall-clock and suite timings are printed for context but are too
-// noisy on shared CI hosts to block on.
+// and fails when any throughput entry of the old snapshot regressed by
+// more than maxRegress percent or is missing from the new one, so a
+// snapshot that lost its measurements cannot pass. Only throughput
+// MIPS gates: experiment wall-clock and suite timings are printed for
+// context but are too noisy on shared CI hosts to block on.
 func compareSnapshots(w io.Writer, oldPath, newPath string, maxRegress float64) error {
 	oldRep, err := loadReport(oldPath)
 	if err != nil {
@@ -470,7 +472,7 @@ func compareSnapshots(w io.Writer, oldPath, newPath string, maxRegress float64) 
 		oldTP[key{st.Trace, st.Org}] = st
 	}
 	fmt.Fprintf(w, "%-42s %10s %10s %9s\n", "throughput (MIPS)", "old", "new", "delta")
-	var regressions []string
+	var failures []string
 	seen := make(map[key]bool)
 	for _, st := range newRep.Throughput {
 		k := key{st.Trace, st.Org}
@@ -479,7 +481,7 @@ func compareSnapshots(w io.Writer, oldPath, newPath string, maxRegress float64) 
 		fmt.Fprintf(w, "%-42s %10.2f %10.2f %9s\n",
 			st.Trace+"/"+st.Org, old.MIPS, st.MIPS, pctDelta(old.MIPS, st.MIPS, ok, true))
 		if ok && old.MIPS > 0 && (old.MIPS-st.MIPS)/old.MIPS*100 > maxRegress {
-			regressions = append(regressions,
+			failures = append(failures,
 				fmt.Sprintf("%s/%s: %.2f -> %.2f MIPS (%.1f%% > %.1f%% allowed)",
 					st.Trace, st.Org, old.MIPS, st.MIPS, (old.MIPS-st.MIPS)/old.MIPS*100, maxRegress))
 		}
@@ -487,6 +489,7 @@ func compareSnapshots(w io.Writer, oldPath, newPath string, maxRegress float64) 
 	for _, st := range oldRep.Throughput {
 		if k := (key{st.Trace, st.Org}); !seen[k] {
 			fmt.Fprintf(w, "%-42s %10.2f %10s %9s\n", st.Trace+"/"+st.Org, st.MIPS, "-", "gone")
+			failures = append(failures, fmt.Sprintf("%s/%s: missing from %s", st.Trace, st.Org, newPath))
 		}
 	}
 
@@ -515,10 +518,10 @@ func compareSnapshots(w io.Writer, oldPath, newPath string, maxRegress float64) 
 		oldRep.Suite.ParallelSeconds, newRep.Suite.ParallelSeconds,
 		pctDelta(oldRep.Suite.ParallelSeconds, newRep.Suite.ParallelSeconds, true, true))
 
-	if len(regressions) > 0 {
+	if len(failures) > 0 {
 		return &cliexit.GateError{Msg: fmt.Sprintf(
-			"throughput regressed past -max-regress %.1f%%:\n  %s",
-			maxRegress, strings.Join(regressions, "\n  "))}
+			"throughput gate failed (-max-regress %.1f%%):\n  %s",
+			maxRegress, strings.Join(failures, "\n  "))}
 	}
 	return nil
 }

@@ -172,6 +172,35 @@ type Org interface {
 	LogicalLines() int
 }
 
+// New builds the organization named kind: "uncompressed", "twotag",
+// "twotag-mod", "basevictim" or "vsc2x".
+func New(kind string, cfg Config) (Org, error) {
+	var (
+		o   Org
+		err error
+	)
+	switch kind {
+	case "uncompressed":
+		o, err = NewUncompressed(cfg)
+	case "twotag":
+		o, err = NewTwoTag(cfg)
+	case "twotag-mod":
+		o, err = NewTwoTagModified(cfg)
+	case "basevictim":
+		o, err = NewBaseVictim(cfg)
+	case "vsc2x":
+		o, err = NewVSCFunctional(cfg)
+	default:
+		return nil, fmt.Errorf("ccache: unknown organization %q", kind)
+	}
+	if err != nil {
+		// The constructors return a typed nil on error; keep it out of
+		// the interface so callers can test the Org against nil.
+		return nil, err
+	}
+	return o, nil
+}
+
 // EvictionHinter is implemented by organizations that can forward L2
 // eviction reuse hints to a hint-aware replacement policy (CHAR).
 type EvictionHinter interface {

@@ -27,24 +27,7 @@ func tinyConfig(polName string) ccache.Config {
 
 func buildOrg(t *testing.T, kind string, cfg ccache.Config) ccache.Org {
 	t.Helper()
-	var (
-		o   ccache.Org
-		err error
-	)
-	switch kind {
-	case "uncompressed":
-		o, err = ccache.NewUncompressed(cfg)
-	case "twotag":
-		o, err = ccache.NewTwoTag(cfg)
-	case "twotag-mod":
-		o, err = ccache.NewTwoTagModified(cfg)
-	case "basevictim":
-		o, err = ccache.NewBaseVictim(cfg)
-	case "vsc2x":
-		o, err = ccache.NewVSCFunctional(cfg)
-	default:
-		t.Fatalf("unknown org %q", kind)
-	}
+	o, err := ccache.New(kind, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

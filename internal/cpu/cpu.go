@@ -18,9 +18,7 @@ import (
 	"fmt"
 
 	"basevictim/internal/arena"
-	"basevictim/internal/hierarchy"
 	"basevictim/internal/trace"
-	"basevictim/internal/workload"
 )
 
 // cancelPollEvery is the amortized cancellation poll interval in
@@ -78,15 +76,6 @@ type Core struct {
 	cfg Config
 	mem MemSystem
 
-	// hier is the fast-path binding, resolved once at construction:
-	// when the memory system is the shipped hierarchy the per-
-	// instruction Load/Store/Fetch calls go through this concrete
-	// pointer instead of the MemSystem interface. Both paths run the
-	// same code, so results are identical; DisableFastPath forces the
-	// interface path for the differential test.
-	hier   *hierarchy.Hierarchy
-	noFast bool // set by DisableFastPath; also disables stream devirt
-
 	rob        []uint64 // completion times, ring buffer
 	robHead    int
 	robLen     int
@@ -111,9 +100,7 @@ func NewIn(a *arena.Arena, cfg Config, mem MemSystem) (*Core, error) {
 	if cfg.CodeFootprint < 64 {
 		cfg.CodeFootprint = 64
 	}
-	c := &Core{cfg: cfg, mem: mem, rob: arena.Make[uint64](a, cfg.ROB)}
-	c.hier, _ = mem.(*hierarchy.Hierarchy)
-	return c, nil
+	return &Core{cfg: cfg, mem: mem, rob: arena.Make[uint64](a, cfg.ROB)}, nil
 }
 
 // MustNew is New but panics on error.
@@ -128,15 +115,6 @@ func MustNewIn(a *arena.Arena, cfg Config, mem MemSystem) *Core {
 		panic(err)
 	}
 	return c
-}
-
-// DisableFastPath forces memory and trace-stream calls through their
-// interfaces, as if the memory system were not the shipped hierarchy.
-// Timing results are identical either way; the differential test in
-// internal/sim flips this to prove it.
-func (c *Core) DisableFastPath() {
-	c.hier = nil
-	c.noFast = true
 }
 
 // retireOldest pops the oldest ROB entry, honoring in-order
@@ -190,14 +168,6 @@ func (c *Core) RunCtx(ctx context.Context, s trace.Stream, maxIns uint64) (Resul
 		// loop avoids a variable-divisor modulo per instruction.
 		fetchTick int
 	)
-	// Stream and memory fast paths, resolved once per Run: the shipped
-	// generator and hierarchy get direct (inlinable) calls, anything
-	// else goes through the interfaces.
-	hier := c.hier
-	var gen *workload.Generator
-	if !c.noFast {
-		gen, _ = s.(*workload.Generator)
-	}
 	for ins < maxIns {
 		if poll && ins%cancelPollEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -208,13 +178,7 @@ func (c *Core) RunCtx(ctx context.Context, s trace.Stream, maxIns uint64) (Resul
 		if c.hooks.sample && ins%samplePeriod == 0 {
 			c.sampleWindow(ins, cycle)
 		}
-		var op trace.Op
-		var ok bool
-		if gen != nil {
-			op, ok = gen.Next()
-		} else {
-			op, ok = s.Next()
-		}
+		op, ok := s.Next()
 		if !ok {
 			break
 		}
@@ -233,12 +197,7 @@ func (c *Core) RunCtx(ctx context.Context, s trace.Stream, maxIns uint64) (Resul
 		if fetchTick == 1 {
 			addr := c.cfg.CodeBase + pc%c.cfg.CodeFootprint
 			pc += 64
-			var fetchDone uint64
-			if hier != nil {
-				fetchDone = hier.Fetch(cycle, addr)
-			} else {
-				fetchDone = c.mem.Fetch(cycle, addr)
-			}
+			fetchDone := c.mem.Fetch(cycle, addr)
 			// L1I hit latency is pipeline-hidden; anything slower
 			// stalls the front end.
 			if hidden := cycle + 3; fetchDone > hidden {
@@ -260,11 +219,7 @@ func (c *Core) RunCtx(ctx context.Context, s trace.Stream, maxIns uint64) (Resul
 		var done uint64
 		switch op.Kind {
 		case trace.Load:
-			if hier != nil {
-				done = hier.Load(cycle, op.Addr)
-			} else {
-				done = c.mem.Load(cycle, op.Addr)
-			}
+			done = c.mem.Load(cycle, op.Addr)
 			if op.Dep && done > cycle {
 				// Dependence-critical load: consumers cannot even
 				// dispatch until the value arrives.
@@ -275,11 +230,7 @@ func (c *Core) RunCtx(ctx context.Context, s trace.Stream, maxIns uint64) (Resul
 		case trace.Store:
 			// Stores complete into the store buffer; the hierarchy
 			// handles the data movement.
-			if hier != nil {
-				hier.Store(cycle, op.Addr)
-			} else {
-				c.mem.Store(cycle, op.Addr)
-			}
+			c.mem.Store(cycle, op.Addr)
 			done = cycle + c.cfg.ExecLat
 		default:
 			done = cycle + c.cfg.ExecLat

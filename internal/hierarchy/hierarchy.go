@@ -101,18 +101,6 @@ type Hierarchy struct {
 	LLC          ccache.Org
 	Mem          *dram.System
 
-	// Fast-path devirtualization, resolved once at construction: when
-	// the LLC is a bare shipped organization (no checker or injector
-	// wrapper) the hot loop calls it through a concrete pointer, so the
-	// per-access Access/Fill/ContainsBase calls are direct instead of
-	// interface dispatch. Wrapped or exotic organizations leave both
-	// pointers nil and every call takes the interface path. The two
-	// paths run the same code against the same state, so results are
-	// identical by construction; the lockstep differential test in
-	// internal/sim enforces that end to end.
-	llcBV *ccache.BaseVictim
-	llcUn *ccache.Uncompressed
-
 	hinter     ccache.EvictionHinter // cached capability of LLC; nil if none
 	tagPenalty uint64                // llcTagPenalty, resolved at construction
 
@@ -190,12 +178,6 @@ func NewIn(a *arena.Arena, cfg Config, llc ccache.Org, mem *dram.System, sizer S
 	for i := range h.segsLine {
 		h.segsLine[i] = ^uint64(0)
 	}
-	switch o := llc.(type) {
-	case *ccache.BaseVictim:
-		h.llcBV = o
-	case *ccache.Uncompressed:
-		h.llcUn = o
-	}
 	h.hinter, _ = llc.(ccache.EvictionHinter)
 	if _, ok := ccache.Root(llc).(*ccache.Uncompressed); !ok {
 		h.tagPenalty = cfg.ExtraTagCycles
@@ -210,50 +192,6 @@ func NewIn(a *arena.Arena, cfg Config, llc ccache.Org, mem *dram.System, sizer S
 		h.pfLLC = prefetch.NewIn(a, prefetch.DefaultLLC())
 	}
 	return h, nil
-}
-
-// DisableFastPath forces every LLC call through the ccache.Org
-// interface, as if the organization were wrapped. Simulation results
-// are identical either way; the differential test flips this to prove
-// it, and it gives a clean A/B lever for profiling dispatch overhead.
-func (h *Hierarchy) DisableFastPath() {
-	h.llcBV = nil
-	h.llcUn = nil
-}
-
-// llcAccess dispatches an LLC demand access through the fast path when
-// one is bound.
-func (h *Hierarchy) llcAccess(line uint64, write bool, segs int) *ccache.Result {
-	if h.llcBV != nil {
-		return h.llcBV.Access(line, write, segs)
-	}
-	if h.llcUn != nil {
-		return h.llcUn.Access(line, write, segs)
-	}
-	return h.LLC.Access(line, write, segs)
-}
-
-// llcFillOp dispatches an LLC fill through the fast path when bound.
-func (h *Hierarchy) llcFillOp(line uint64, segs int, dirty bool) *ccache.Result {
-	if h.llcBV != nil {
-		return h.llcBV.Fill(line, segs, dirty)
-	}
-	if h.llcUn != nil {
-		return h.llcUn.Fill(line, segs, dirty)
-	}
-	return h.LLC.Fill(line, segs, dirty)
-}
-
-// llcContainsBase dispatches ContainsBase through the fast path when
-// bound.
-func (h *Hierarchy) llcContainsBase(line uint64) bool {
-	if h.llcBV != nil {
-		return h.llcBV.ContainsBase(line)
-	}
-	if h.llcUn != nil {
-		return h.llcUn.ContainsBase(line)
-	}
-	return h.LLC.ContainsBase(line)
 }
 
 // MustNew is New but panics on error.
@@ -296,7 +234,7 @@ func (h *Hierarchy) genOf(line uint64) uint32 {
 	return g
 }
 
-// segsCacheSize is the direct-mapped compressed-size cache: 2^16
+// segsCacheSize is the direct-mapped compressed-size cache: 2^18
 // entries comfortably cover the LLC's line working set, so the common
 // "size this line again" query is one array probe instead of a filter
 // check, a generation lookup and a sizer memo lookup.
@@ -392,8 +330,8 @@ func (h *Hierarchy) innerMiss(now uint64, line uint64, write bool) uint64 {
 	// hardware pins it in an MSHR. Re-establish base residency before
 	// filling inward so inclusion and the victim-lines-never-above
 	// invariant hold.
-	if !h.llcContainsBase(line) {
-		r := h.llcAccess(line, false, 0)
+	if !h.LLC.ContainsBase(line) {
+		r := h.LLC.Access(line, false, 0)
 		hit := r.Hit
 		h.consume(r)
 		if hit {
@@ -419,12 +357,12 @@ func (h *Hierarchy) llcDemand(now uint64, line uint64) uint64 {
 	// preserves the hit-rate guarantee end to end). Prefetch fills are
 	// issued before the demand access so the replacement policy sees
 	// the same event order in every organization.
-	if h.pfLLC != nil && !h.llcContainsBase(line) {
+	if h.pfLLC != nil && !h.LLC.ContainsBase(line) {
 		for _, p := range h.pfLLC.Advise(line << 6) {
 			h.prefetchInto(now, p, 3)
 		}
 	}
-	r := h.llcAccess(line, false, 0)
+	r := h.LLC.Access(line, false, 0)
 	hit, decompress := r.Hit, r.Decompress
 	h.consume(r)
 	if hit {
@@ -451,7 +389,7 @@ func (h *Hierarchy) llcFill(line uint64, dirty bool) {
 	segs := h.segsOf(line)
 	h.Stats.Compressions++
 	h.Stats.LLCDataWrites++
-	r := h.llcFillOp(line, segs, dirty)
+	r := h.LLC.Fill(line, segs, dirty)
 	h.consume(r)
 }
 
@@ -532,7 +470,7 @@ func (h *Hierarchy) writebackToLLC(line uint64) {
 	h.segsVal[segsIdx(line)] = int8(segs)
 	h.Stats.Compressions++
 	h.Stats.LLCDataWrites++
-	r := h.llcAccess(line, true, segs)
+	r := h.LLC.Access(line, true, segs)
 	h.consume(r)
 	if !r.Hit {
 		// Inclusion should make this unreachable; tolerate it so a
@@ -584,7 +522,7 @@ func (h *Hierarchy) prefetchInto(now uint64, line uint64, level int) {
 // needed. Prefetch lookups touch the LLC like demand lookups (they
 // train replacement state identically across organizations).
 func (h *Hierarchy) ensureLLC(now uint64, line uint64) {
-	r := h.llcAccess(line, false, 0)
+	r := h.LLC.Access(line, false, 0)
 	h.consume(r)
 	if r.Hit {
 		h.Stats.LLCDataReads++

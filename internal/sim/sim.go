@@ -154,21 +154,7 @@ func buildOrg(c Config, a *arena.Arena) (ccache.Org, ccache.Config, error) {
 		return nil, ccache.Config{}, err
 	}
 	cc.Arena = a
-	var org ccache.Org
-	switch c.Org {
-	case OrgUncompressed:
-		org, err = ccache.NewUncompressed(cc)
-	case OrgTwoTag:
-		org, err = ccache.NewTwoTag(cc)
-	case OrgTwoTagMod:
-		org, err = ccache.NewTwoTagModified(cc)
-	case OrgBaseVictim:
-		org, err = ccache.NewBaseVictim(cc)
-	case OrgVSC:
-		org, err = ccache.NewVSCFunctional(cc)
-	default:
-		return nil, ccache.Config{}, fmt.Errorf("sim: unknown org %q", c.Org)
-	}
+	org, err := ccache.New(string(c.Org), cc)
 	if err != nil {
 		return nil, ccache.Config{}, err
 	}
@@ -320,10 +306,6 @@ func RunSingleCtx(ctx context.Context, p workload.Profile, cfg Config) (_ Result
 		return Result{}, err
 	}
 	core := cpu.MustNewIn(a, cpu.DefaultConfig(), h)
-	if interfacePathFrom(ctx) {
-		h.DisableFastPath()
-		core.DisableFastPath()
-	}
 	o := ObserverFrom(ctx)
 	o.attach(org, mem, core)
 	res, runErr := core.RunCtx(ctx, p.Stream(), cfg.Instructions)
@@ -376,10 +358,6 @@ func RunStreamCtx(ctx context.Context, s trace.Stream, sizer hierarchy.Sizer, cf
 		return Result{}, err
 	}
 	core := cpu.MustNewIn(a, cpu.DefaultConfig(), h)
-	if interfacePathFrom(ctx) {
-		h.DisableFastPath()
-		core.DisableFastPath()
-	}
 	o := ObserverFrom(ctx)
 	o.attach(org, mem, core)
 	res, runErr := core.RunCtx(ctx, s, cfg.Instructions)
@@ -507,10 +485,6 @@ func RunMixCtx(ctx context.Context, mix [4]workload.Profile, cfg Config) (_ Mult
 		ccfg := cpu.DefaultConfig()
 		ccfg.CodeBase = uint64(i+1)<<44 | 1<<40
 		cores[i] = cpu.MustNewIn(a, ccfg, h)
-		if interfacePathFrom(ctx) {
-			h.DisableFastPath()
-			cores[i].DisableFastPath()
-		}
 		streams[i] = p.Stream()
 		res.Mix[i] = p.Name
 	}
