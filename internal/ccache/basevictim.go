@@ -20,6 +20,12 @@ import (
 // Cache, so victim evictions are silent and every fill performs at most
 // one writeback.
 //
+// With its Victim Cache switched off (NewUncompressed) the same code is
+// the uncompressed baseline: every line is stored raw and a baseline
+// victim leaves the LLC instead of parking. The Baseline Cache is
+// therefore managed exactly like the uncompressed cache by
+// construction, not by a second implementation kept equal to it.
+//
 // Invariants (checked by tests):
 //   - the Baseline Cache state equals an uncompressed cache running the
 //     same access stream under the same policy;
@@ -40,10 +46,21 @@ type BaseVictim struct {
 	cands  []policy.Candidate // scratch for victim insertion
 	fault  error              // first protocol fault absorbed (see Fault)
 	hooks  llcHooks           // obs instrumentation; zero value = disabled
+	// victimWays is the Victim Cache's ways per set: Ways for
+	// Base-Victim, 0 for the uncompressed baseline. With a Victim Cache
+	// its slots are indexed like the base slots, set*Ways+way.
+	victimWays int
 }
 
 // NewBaseVictim builds the Base-Victim organization.
-func NewBaseVictim(cfg Config) (*BaseVictim, error) {
+func NewBaseVictim(cfg Config) (*BaseVictim, error) { return newBaseVictim(cfg, cfg.Ways) }
+
+// NewUncompressed builds the uncompressed baseline: the Base-Victim
+// organization with its Victim Cache switched off, one raw line per
+// physical way. Its Name is "uncompressed".
+func NewUncompressed(cfg Config) (*BaseVictim, error) { return newBaseVictim(cfg, 0) }
+
+func newBaseVictim(cfg Config, victimWays int) (*BaseVictim, error) {
 	sets, err := cfg.sets()
 	if err != nil {
 		return nil, err
@@ -56,18 +73,24 @@ func NewBaseVictim(cfg Config) (*BaseVictim, error) {
 		cfg:    cfg,
 		sets:   sets,
 		base:   newTagStore(cfg.Arena, sets*cfg.Ways),
-		victim: newTagStore(cfg.Arena, sets*cfg.Ways),
+		victim: newTagStore(cfg.Arena, sets*victimWays),
 		pol:    cfg.Policy(sets, cfg.Ways),
 		sel:    sel(sets, cfg.Ways),
 		cands:  arena.Make[policy.Candidate](cfg.Arena, cfg.Ways)[:0],
 	}
+	c.victimWays = victimWays
 	c.onMiss, _ = c.pol.(policy.MissObserver)
 	c.hinter, _ = c.pol.(policy.Hinter)
 	return c, nil
 }
 
 // Name implements Org.
-func (c *BaseVictim) Name() string { return "basevictim" }
+func (c *BaseVictim) Name() string {
+	if c.victimWays == 0 {
+		return "uncompressed"
+	}
+	return "basevictim"
+}
 
 // Sets implements Org.
 func (c *BaseVictim) Sets() int { return c.sets }
@@ -89,7 +112,7 @@ func (c *BaseVictim) findBase(lineAddr uint64) (way int, ok bool) {
 }
 
 func (c *BaseVictim) findVictim(lineAddr uint64) (way int, ok bool) {
-	w := c.victim.find(c.set(lineAddr)*c.cfg.Ways, c.cfg.Ways, lineAddr)
+	w := c.victim.find(c.set(lineAddr)*c.victimWays, c.victimWays, lineAddr)
 	return w, w >= 0
 }
 
@@ -141,48 +164,54 @@ func (c *BaseVictim) Access(lineAddr uint64, write bool, segs int) *Result {
 	if c.onMiss != nil {
 		c.onMiss.OnMiss(set)
 	}
-
-	if vway := c.victim.find(root, c.cfg.Ways, lineAddr); vway >= 0 {
-		if write && c.cfg.Inclusive && c.fault == nil {
-			// Inclusive victim lines are clean and absent from the
-			// inner caches, so the L2 cannot write one back
-			// (Section IV.B.3). Record the protocol fault and degrade
-			// to the non-inclusive promotion path so the simulation
-			// stays analyzable instead of crashing.
-			c.fault = fmt.Errorf("ccache: write hit on inclusive Victim Cache line %#x (set %d)", lineAddr, set)
-		}
-		c.stats.Hits++
-		c.stats.VictimHits++
-		c.hooks.victimHits.Inc()
-		c.res.Hit = true
-		c.res.VictimHit = true
-		promoted := c.victim.get(root + vway)
-		if needsDecompression(promoted.segs) {
-			c.res.Decompress = true
-			c.stats.Decompressions++
-		}
-		c.sel.OnHit(set, vway)
-		c.victim.invalidate(root + vway)
-		c.sel.OnInvalidate(set, vway)
-		if write {
-			promoted.dirty = true
-			promoted.segs = clampSegs(segs)
-		}
-		// Promotion moves data between physically distinct ways.
-		c.res.DataMoves++
-		c.stats.DataMoves++
-		c.hooks.victimPromotions.Inc()
-		c.hooks.ring.Record(obsEvent{
-			Kind: "victim-promote", Addr: lineAddr, Set: set, Way: vway,
-			Segs: promoted.segs, Dirty: promoted.dirty,
-		})
-		c.installBase(set, promoted)
+	// Without a Victim Cache this scan covers zero ways.
+	if vway := c.victim.find(set*c.victimWays, c.victimWays, lineAddr); vway >= 0 {
+		c.promote(set, vway, lineAddr, write, segs)
 		return &c.res
 	}
-
 	c.stats.Misses++
 	c.hooks.misses.Inc()
 	return &c.res
+}
+
+// promote serves a hit in the Victim Cache: the line moves into the
+// Baseline Cache exactly as if it had been fetched from memory.
+func (c *BaseVictim) promote(set, vway int, lineAddr uint64, write bool, segs int) {
+	if write && c.cfg.Inclusive && c.fault == nil {
+		// Inclusive victim lines are clean and absent from the inner
+		// caches, so the L2 cannot write one back (Section IV.B.3).
+		// Record the protocol fault and degrade to the non-inclusive
+		// promotion path so the simulation stays analyzable instead of
+		// crashing.
+		c.fault = fmt.Errorf("ccache: write hit on inclusive Victim Cache line %#x (set %d)", lineAddr, set)
+	}
+	c.stats.Hits++
+	c.stats.VictimHits++
+	c.hooks.victimHits.Inc()
+	c.res.Hit = true
+	c.res.VictimHit = true
+	i := set*c.cfg.Ways + vway
+	promoted := c.victim.get(i)
+	if needsDecompression(promoted.segs) {
+		c.res.Decompress = true
+		c.stats.Decompressions++
+	}
+	c.sel.OnHit(set, vway)
+	c.victim.invalidate(i)
+	c.sel.OnInvalidate(set, vway)
+	if write {
+		promoted.dirty = true
+		promoted.segs = clampSegs(segs)
+	}
+	// Promotion moves data between physically distinct ways.
+	c.res.DataMoves++
+	c.stats.DataMoves++
+	c.hooks.victimPromotions.Inc()
+	c.hooks.ring.Record(obsEvent{
+		Kind: "victim-promote", Addr: lineAddr, Set: set, Way: vway,
+		Segs: promoted.segs, Dirty: promoted.dirty,
+	})
+	c.installBase(set, promoted)
 }
 
 // baseWrite applies a dirty writeback to a resident base line: the
@@ -191,6 +220,9 @@ func (c *BaseVictim) Access(lineAddr uint64, write bool, segs int) *Result {
 func (c *BaseVictim) baseWrite(set, way, segs int) {
 	i := set*c.cfg.Ways + way
 	c.base.dirty[i] = true
+	if c.victimWays == 0 {
+		return // lines stay raw, and no victim partner exists
+	}
 	newSegs := clampSegs(segs)
 	c.base.segs[i] = uint8(newSegs)
 	if c.victim.valid(i) && newSegs+int(c.victim.segs[i]) > WaySegments {
@@ -231,10 +263,14 @@ func (c *BaseVictim) Fill(lineAddr uint64, segs int, dirty bool) *Result {
 	c.res.reset()
 	c.stats.Fills++
 	set := c.set(lineAddr)
-	clamped := clampSegs(segs)
-	c.hooks.fillSegs.Observe(uint64(clamped))
-	c.hooks.ring.Record(obsEvent{Kind: "fill", Addr: lineAddr, Set: set, Segs: clamped, Dirty: dirty})
-	c.installBase(set, tag{addr: lineAddr, valid: true, dirty: dirty, segs: clamped})
+	if c.victimWays > 0 {
+		segs = clampSegs(segs)
+		c.hooks.ring.Record(obsEvent{Kind: "fill", Addr: lineAddr, Set: set, Segs: segs, Dirty: dirty})
+	} else {
+		segs = WaySegments // without a Victim Cache every line is stored raw
+	}
+	c.hooks.fillSegs.Observe(uint64(segs))
+	c.installBase(set, tag{addr: lineAddr, valid: true, dirty: dirty, segs: segs})
 	return &c.res
 }
 
@@ -243,13 +279,22 @@ func (c *BaseVictim) Fill(lineAddr uint64, segs int, dirty bool) *Result {
 // Sections IV.B.1 and IV.B.2 describe. It appends events to c.res.
 func (c *BaseVictim) installBase(set int, incoming tag) {
 	root := set * c.cfg.Ways
-	// Prefer an invalid base way (cold sets), like the uncompressed
-	// baseline would.
+	// Prefer an invalid base way (cold sets).
 	way := c.base.firstInvalid(root, c.cfg.Ways)
 	var displaced tag
 	if way < 0 {
 		way = c.pol.Victim(set)
 		displaced = c.base.get(root + way)
+	}
+	if c.victimWays == 0 {
+		// Without a Victim Cache the baseline victim leaves the LLC,
+		// and no partner shares the way.
+		if displaced.valid {
+			c.evictBase(displaced)
+		}
+		c.base.put(root+way, incoming)
+		c.pol.OnFill(set, way)
+		return
 	}
 
 	if displaced.valid {
@@ -297,6 +342,21 @@ func (c *BaseVictim) installBase(set int, incoming tag) {
 	// Victim Cache.
 	if displaced.valid {
 		c.insertVictim(set, displaced)
+	}
+}
+
+// evictBase sends a baseline victim out of the LLC, as an uncompressed
+// cache does: back-invalidated, and written back if dirty.
+func (c *BaseVictim) evictBase(t tag) {
+	c.stats.Evictions++
+	c.res.Evicted = append(c.res.Evicted, t.addr)
+	c.res.BackInvals = append(c.res.BackInvals, t.addr)
+	c.stats.BackInvals++
+	c.hooks.backinvalEviction.Inc()
+	c.hooks.ring.Record(obsEvent{Kind: "base-evict", Addr: t.addr, Reason: "capacity", Dirty: t.dirty})
+	if t.dirty {
+		c.res.Writebacks = append(c.res.Writebacks, t.addr)
+		c.stats.Writebacks++
 	}
 }
 
@@ -369,15 +429,6 @@ func (c *BaseVictim) HintEviction(lineAddr uint64, dead bool) {
 	if way, found := c.findBase(lineAddr); found {
 		c.hinter.OnEvictionHint(c.set(lineAddr), way, dead)
 	}
-}
-
-// dumpBase returns the base tags of one set, for the mirror tests.
-func (c *BaseVictim) dumpBase(set int) []tag {
-	out := make([]tag, c.cfg.Ways)
-	for w := 0; w < c.cfg.Ways; w++ {
-		out[w] = c.base.get(set*c.cfg.Ways + w)
-	}
-	return out
 }
 
 // ContainsBase implements Org: Baseline Cache residency only.

@@ -1,14 +1,16 @@
 // Package ccache implements the last-level-cache organizations the
 // Base-Victim paper evaluates:
 //
-//   - Uncompressed: the baseline tag-per-way cache.
+//   - BaseVictim: the paper's contribution (Section IV), which splits
+//     the two tags into a strictly-managed Baseline Cache and an
+//     opportunistic, always-clean Victim Cache. NewUncompressed builds
+//     it with the Victim Cache switched off, which is the baseline
+//     tag-per-way cache; the Baseline Cache is therefore managed
+//     exactly like the uncompressed cache by construction.
 //   - TwoTag: the naive two-tags-per-way compressed cache of Section
 //     III, which victimizes partner lines that no longer fit.
 //   - TwoTagModified: the ECM-inspired variant of Figure 7 that
 //     searches for a victim whose eviction does not displace a partner.
-//   - BaseVictim: the paper's contribution (Section IV), which splits
-//     the two tags into a strictly-managed Baseline Cache and an
-//     opportunistic, always-clean Victim Cache.
 //   - VSCFunctional: a functional (hit/miss only) model of the
 //     decoupled variable-segment cache used for the effective-capacity
 //     comparison in Section V.
@@ -16,7 +18,9 @@
 // All organizations are functional models with event reporting: every
 // operation returns the writebacks, back-invalidations and internal
 // data movements it caused, which the simulator converts into timing
-// and energy.
+// and energy. They all keep their tags in one structure-of-arrays
+// tagStore, and all implement Inspector, the tag-level view the
+// lockstep checker and the fault injector (internal/check) use.
 package ccache
 
 import (

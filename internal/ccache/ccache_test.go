@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"basevictim/internal/cache"
 	"basevictim/internal/policy"
 )
 
@@ -25,7 +26,7 @@ func addrInSet(sets, set, i int) uint64 { return uint64(i*sets + set) }
 
 // mustIntegrity fails the test on the first structural-invariant
 // violation the organization reports.
-func mustIntegrity(t *testing.T, o IntegrityChecker) {
+func mustIntegrity(t *testing.T, o Inspector) {
 	t.Helper()
 	if err := o.Integrity(); err != nil {
 		t.Fatal(err)
@@ -79,16 +80,66 @@ func TestUncompressedBasics(t *testing.T) {
 	}
 }
 
+// demand is the part of Org a driver calls.
+type demand interface {
+	Access(lineAddr uint64, write bool, segs int) *Result
+	Fill(lineAddr uint64, segs int, dirty bool) *Result
+}
+
 // driver feeds an Org the way the inclusive hierarchy does: a store to
 // a line the L2 does not own becomes a read-for-ownership first, so
 // LLC writes (L2 writebacks) only ever target Baseline Cache residents.
 // Ownership is dropped on back-invalidation or eviction.
 type driver struct {
-	o     Org
+	o     demand
 	owned map[uint64]bool
 }
 
-func newDriver(o Org) *driver { return &driver{o: o, owned: make(map[uint64]bool)} }
+func newDriver(o demand) *driver { return &driver{o: o, owned: make(map[uint64]bool)} }
+
+// reference adapts cache.Cache — the uncompressed model the lockstep
+// checker (internal/check) shadows every organization with, and code
+// independent of this package — to the driver, so the mirror tests
+// hold the shared Baseline Cache path to an outside model.
+type reference struct {
+	c   *cache.Cache
+	res Result
+}
+
+func newReference(cfg Config) *reference {
+	return &reference{c: cache.MustNew(cache.Geometry{SizeBytes: cfg.SizeBytes, Ways: cfg.Ways}, cfg.Policy)}
+}
+
+func (r *reference) Access(lineAddr uint64, write bool, _ int) *Result {
+	r.res.reset()
+	r.res.Hit = r.c.Access(lineAddr, write)
+	return &r.res
+}
+
+func (r *reference) Fill(lineAddr uint64, _ int, dirty bool) *Result {
+	r.res.reset()
+	if ev := r.c.Fill(lineAddr, dirty, false); ev.Valid {
+		r.res.Evicted = append(r.res.Evicted, ev.Addr)
+		r.res.BackInvals = append(r.res.BackInvals, ev.Addr)
+	}
+	return &r.res
+}
+
+// mustMirror fails the test unless each organization's Baseline Cache
+// holds exactly the reference's lines in set, way for way, dirty bits
+// included.
+func mustMirror(t *testing.T, ref *reference, set int, orgs ...*BaseVictim) {
+	t.Helper()
+	want := ref.c.DumpSet(set, nil)
+	for _, o := range orgs {
+		got, _ := o.InspectSet(set, nil, nil)
+		for w, r := range want {
+			if g := got[w]; g.Valid != r.Valid || g.Valid && (g.Addr != r.Tag || g.Dirty != r.Dirty) {
+				t.Fatalf("%s set %d way %d holds %+v, reference %+v", o.Name(), set, w, g, r)
+			}
+		}
+	}
+}
 
 func (d *driver) consume(r *Result) {
 	for _, a := range r.BackInvals {
@@ -172,9 +223,13 @@ func sizeMix(addr uint64) int {
 // TestBaseVictimMirrorsUncompressed is the paper's central guarantee
 // (Section IV.A): the Baseline Cache state is identical to an
 // uncompressed cache under the same policy, access for access, and the
-// compressed cache never has more misses or more writebacks.
+// compressed cache never has more misses or more writebacks. The
+// uncompressed organization shares Base-Victim's Baseline Cache code,
+// so comparing the two catches Victim Cache activity disturbing the
+// base; the cache.Cache reference also catches a bug in the shared
+// path itself.
 func TestBaseVictimMirrorsUncompressed(t *testing.T) {
-	for _, polName := range []string{"lru", "nru", "srrip", "char"} {
+	for _, polName := range policy.Names() {
 		polName := polName
 		t.Run(polName, func(t *testing.T) {
 			pf, err := policy.ByName(polName)
@@ -184,14 +239,19 @@ func TestBaseVictimMirrorsUncompressed(t *testing.T) {
 			cfg := tinyConfig()
 			cfg.Policy = pf
 			f := func(seed int64) bool {
+				ref := newReference(cfg)
 				unc, _ := NewUncompressed(cfg)
 				bv, _ := NewBaseVictim(cfg)
-				du, db := newDriver(unc), newDriver(bv)
+				dr, du, db := newDriver(ref), newDriver(unc), newDriver(bv)
 				ops := randStream(seed, 2000, 128)
 				for _, op := range ops {
 					segs := sizeMix(op.addr)
+					hitR, _ := dr.do(op, segs)
 					hitU, _ := du.do(op, segs)
 					hitB, victimB := db.do(op, segs)
+					if hitU != hitR {
+						t.Fatalf("seed %d: uncompressed hit=%v but reference hit=%v, addr %d", seed, hitU, hitR, op.addr)
+					}
 					if hitU && !hitB {
 						t.Fatalf("seed %d: uncompressed hit but basevictim missed addr %d", seed, op.addr)
 					}
@@ -202,15 +262,7 @@ func TestBaseVictimMirrorsUncompressed(t *testing.T) {
 				}
 				// Base tags must match exactly, dirty bits included.
 				for set := 0; set < unc.Sets(); set++ {
-					du, db := unc.dumpBase(set), bv.dumpBase(set)
-					for w := range du {
-						if du[w].valid != db[w].valid {
-							t.Fatalf("seed %d set %d way %d: valid mismatch", seed, set, w)
-						}
-						if du[w].valid && (du[w].addr != db[w].addr || du[w].dirty != db[w].dirty) {
-							t.Fatalf("seed %d set %d way %d: %+v vs %+v", seed, set, w, du[w], db[w])
-						}
-					}
+					mustMirror(t, ref, set, unc, bv)
 				}
 				su, sb := unc.Stats(), bv.Stats()
 				if sb.Misses > su.Misses {

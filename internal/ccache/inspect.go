@@ -11,27 +11,24 @@ type LineInfo struct {
 	Segs  int
 }
 
-// Inspector exposes per-set tag state for external verification.
-// InspectSet appends the set's strictly-managed (demand) lines to base,
-// indexed by physical way where the organization has that notion, and
-// any opportunistic victim lines sharing those ways to victim (left
-// empty by organizations without a victim partition). Both slices are
-// returned so callers can reuse buffers across calls.
+// Inspector exposes an organization's tag state for external
+// verification; every organization here implements it.
 type Inspector interface {
+	// InspectSet appends the set's strictly-managed (demand) lines to
+	// base, indexed by physical way where the organization has that
+	// notion, and any opportunistic victim lines sharing those ways to
+	// victim (left empty by organizations without a victim partition).
+	// Both slices are returned so callers can reuse buffers across
+	// calls.
 	InspectSet(set int, base, victim []LineInfo) (bout, vout []LineInfo)
-}
-
-// IntegrityChecker is implemented by organizations that can scan their
-// own structural invariants on demand and report the first violation.
-type IntegrityChecker interface {
+	// Integrity scans the organization's structural invariants and
+	// reports the first violation.
 	Integrity() error
-}
-
-// Corrupter supports deterministic fault injection: it flips bits in a
-// stored tag. slot indexes the organization's internal tag slots (base
-// ways first, then any victim or extra logical slots); out-of-range or
-// invalid slots return false and leave the state untouched.
-type Corrupter interface {
+	// CorruptTag supports deterministic fault injection: it flips bits
+	// in a stored tag. slot indexes the organization's internal tag
+	// slots (base ways first, then any victim or extra logical slots);
+	// out-of-range or invalid slots return false and leave the state
+	// untouched.
 	CorruptTag(set, slot int, xor uint64) bool
 }
 
@@ -57,10 +54,6 @@ func Root(o Org) Org {
 		}
 		o = u.Unwrap()
 	}
-}
-
-func infoOf(t *tag) LineInfo {
-	return LineInfo{Addr: t.addr, Valid: t.valid, Dirty: t.dirty, Segs: t.segs}
 }
 
 // integrityScan runs the structural invariants every organization
@@ -137,69 +130,32 @@ func findDuplicate(base, victim []LineInfo) (uint64, bool) {
 	return 0, false
 }
 
-// corruptTag is the shared Corrupter body over a flat tag slice.
-func corruptTag(tags []tag, idx int, xor uint64) bool {
-	if idx < 0 || idx >= len(tags) || !tags[idx].valid {
-		return false
-	}
-	tags[idx].addr ^= xor
-	return true
-}
-
-// infoAt is infoOf over a tagStore slot.
-func infoAt(s *tagStore, i int) LineInfo {
-	t := s.get(i)
-	return LineInfo{Addr: t.addr, Valid: t.valid, Dirty: t.dirty, Segs: t.segs}
-}
-
-// InspectSet implements Inspector.
-func (c *Uncompressed) InspectSet(set int, base, victim []LineInfo) ([]LineInfo, []LineInfo) {
-	for w := 0; w < c.cfg.Ways; w++ {
-		base = append(base, infoAt(&c.tags, set*c.cfg.Ways+w))
-	}
-	return base, victim
-}
-
-// Integrity implements IntegrityChecker.
-func (c *Uncompressed) Integrity() error {
-	return integrityScan(c.Name(), c.sets, c.cfg.Ways, c, false)
-}
-
-// CorruptTag implements Corrupter; slots are the physical ways.
-func (c *Uncompressed) CorruptTag(set, slot int, xor uint64) bool {
-	if slot < 0 || slot >= c.cfg.Ways {
-		return false
-	}
-	return c.tags.corrupt(set*c.cfg.Ways+slot, xor)
-}
-
 // InspectSet implements Inspector: base ways first, then the victim
-// lines sharing them, both indexed by physical way.
+// lines sharing them, both indexed by physical way. Without a Victim
+// Cache the victim slice stays empty.
 func (c *BaseVictim) InspectSet(set int, base, victim []LineInfo) ([]LineInfo, []LineInfo) {
-	for w := 0; w < c.cfg.Ways; w++ {
-		base = append(base, infoAt(&c.base, set*c.cfg.Ways+w))
-		victim = append(victim, infoAt(&c.victim, set*c.cfg.Ways+w))
+	for i := set * c.cfg.Ways; i < (set+1)*c.cfg.Ways; i++ {
+		base = append(base, c.base.info(i))
+	}
+	for i := set * c.victimWays; i < (set+1)*c.victimWays; i++ {
+		victim = append(victim, c.victim.info(i))
 	}
 	return base, victim
 }
 
-// Integrity implements IntegrityChecker; it covers the invariants the
-// package documentation lists for Base-Victim.
+// Integrity implements Inspector; it covers the invariants the package
+// documentation lists for Base-Victim.
 func (c *BaseVictim) Integrity() error {
 	return integrityScan(c.Name(), c.sets, c.cfg.Ways, c, c.cfg.Inclusive)
 }
 
-// CorruptTag implements Corrupter; slots 0..Ways-1 address the Baseline
-// Cache, slots Ways..2*Ways-1 the Victim Cache.
+// CorruptTag implements Inspector; slots 0..Ways-1 address the
+// Baseline Cache, slots Ways..2*Ways-1 the Victim Cache.
 func (c *BaseVictim) CorruptTag(set, slot int, xor uint64) bool {
-	switch {
-	case slot >= 0 && slot < c.cfg.Ways:
-		return c.base.corrupt(set*c.cfg.Ways+slot, xor)
-	case slot >= c.cfg.Ways && slot < 2*c.cfg.Ways:
-		return c.victim.corrupt(set*c.cfg.Ways+slot-c.cfg.Ways, xor)
-	default:
-		return false
+	if slot < c.cfg.Ways {
+		return c.base.corrupt(set, c.cfg.Ways, slot, xor)
 	}
+	return c.victim.corrupt(set, c.victimWays, slot-c.cfg.Ways, xor)
 }
 
 // Fault implements Faulter: it reports the first protocol fault the
@@ -211,46 +167,40 @@ func (c *BaseVictim) Fault() error { return c.fault }
 // physical way reports as base, the odd slot as victim, so the pairing
 // invariant base[w].Segs+victim[w].Segs <= WaySegments lines up.
 func (c *twoTagBase) InspectSet(set int, base, victim []LineInfo) ([]LineInfo, []LineInfo) {
-	for w := 0; w < c.cfg.Ways; w++ {
-		base = append(base, infoOf(c.tagAt(set, 2*w)))
-		victim = append(victim, infoOf(c.tagAt(set, 2*w+1)))
+	for i := set * c.lways; i < (set+1)*c.lways; i += 2 {
+		base = append(base, c.tags.info(i))
+		victim = append(victim, c.tags.info(i+1))
 	}
 	return base, victim
 }
 
-// Integrity implements IntegrityChecker. Two-tag victims may be dirty:
-// both logical lines of a way are demand storage.
+// Integrity implements Inspector. Two-tag victims may be dirty: both
+// logical lines of a way are demand storage.
 func (c *twoTagBase) Integrity() error {
 	return integrityScan("twotag", c.sets, c.cfg.Ways, c, false)
 }
 
-// CorruptTag implements Corrupter; slots are the logical ways.
+// CorruptTag implements Inspector; slots are the logical ways.
 func (c *twoTagBase) CorruptTag(set, slot int, xor uint64) bool {
-	if slot < 0 || slot >= c.lways {
-		return false
-	}
-	return corruptTag(c.tags, set*c.lways+slot, xor)
+	return c.tags.corrupt(set, c.lways, slot, xor)
 }
 
 // InspectSet implements Inspector; VSC has no victim partition, so all
 // logical lines report as base and the set-level segment budget
 // applies.
 func (c *VSCFunctional) InspectSet(set int, base, victim []LineInfo) ([]LineInfo, []LineInfo) {
-	for l := 0; l < c.lways; l++ {
-		base = append(base, infoOf(c.tagAt(set, l)))
+	for i := set * c.lways; i < (set+1)*c.lways; i++ {
+		base = append(base, c.tags.info(i))
 	}
 	return base, victim
 }
 
-// Integrity implements IntegrityChecker.
+// Integrity implements Inspector.
 func (c *VSCFunctional) Integrity() error {
 	return integrityScan(c.Name(), c.sets, c.cfg.Ways, c, false)
 }
 
-// CorruptTag implements Corrupter; slots are the logical ways.
+// CorruptTag implements Inspector; slots are the logical ways.
 func (c *VSCFunctional) CorruptTag(set, slot int, xor uint64) bool {
-	if slot < 0 || slot >= c.lways {
-		return false
-	}
-	return corruptTag(c.tags, set*c.lways+slot, xor)
+	return c.tags.corrupt(set, c.lways, slot, xor)
 }

@@ -95,14 +95,9 @@ func (h *llcHooks) dropCounter(reason string) *obs.Counter {
 	}
 }
 
-// Observe implements Observable.
-func (c *BaseVictim) Observe(reg *obs.Registry, ring *obs.Ring) {
-	c.hooks = newLLCHooks(reg, ring)
-}
-
-// Observe implements Observable. The uncompressed baseline has no
-// victim partition, so only the hit/miss/fill and eviction-cause
+// Observe implements Observable. Without a Victim Cache (the
+// uncompressed baseline) only the hit/miss/fill and eviction-cause
 // metrics are live.
-func (c *Uncompressed) Observe(reg *obs.Registry, ring *obs.Ring) {
+func (c *BaseVictim) Observe(reg *obs.Registry, ring *obs.Ring) {
 	c.hooks = newLLCHooks(reg, ring)
 }

@@ -2,19 +2,28 @@ package ccache
 
 import "basevictim/internal/arena"
 
+// tag is one logical line's tag entry in exchange form: what tagStore
+// get returns and put stores, and what Base-Victim carries between its
+// partitions.
+type tag struct {
+	addr  uint64
+	valid bool
+	dirty bool
+	segs  int // compressed size in segments (WaySegments when raw)
+}
+
 // invalidAddr marks an empty tag slot in a tagStore. Line addresses
 // are byte addresses shifted right by 6, so the all-ones value is
 // unreachable. segs cannot double as the validity bit because a valid
 // all-zero line legitimately has segs == 0.
 const invalidAddr = ^uint64(0)
 
-// tagStore is a structure-of-arrays tag partition. The per-access find
-// scan — the hottest code in every organization — walks only the dense
+// tagStore is a structure-of-arrays tag partition, the one tag store
+// every organization here is built from. Slot set*n+w holds logical
+// way w of a partition with n ways per set. The per-access find scan —
+// the hottest code in every organization — walks only the dense
 // address array; dirty bits and sizes live in sidecar arrays touched
-// only for the way that matters. The AoS tag struct remains the
-// exchange format (get/put) for inspection, corruption and the mirror
-// tests, and for the organizations (twotag, vsc) whose logical-way
-// indexing did not justify the rewrite.
+// only for the way that matters.
 type tagStore struct {
 	addrs []uint64 // invalidAddr = empty slot
 	dirty []bool
@@ -49,12 +58,7 @@ func (s *tagStore) find(base, ways int, lineAddr uint64) int {
 // firstInvalid returns the lowest empty way offset in [base,
 // base+ways), or -1 when the slots are all full.
 func (s *tagStore) firstInvalid(base, ways int) int {
-	for w, a := range s.addrs[base : base+ways] {
-		if a == invalidAddr {
-			return w
-		}
-	}
-	return -1
+	return s.find(base, ways, invalidAddr)
 }
 
 func (s *tagStore) valid(i int) bool { return s.addrs[i] != invalidAddr }
@@ -86,6 +90,12 @@ func (s *tagStore) invalidate(i int) {
 	s.segs[i] = 0
 }
 
+// info is slot i in the exported form Inspector hands out.
+func (s *tagStore) info(i int) LineInfo {
+	t := s.get(i)
+	return LineInfo{Addr: t.addr, Valid: t.valid, Dirty: t.dirty, Segs: t.segs}
+}
+
 // count returns the number of valid slots.
 func (s *tagStore) count() int {
 	n := 0
@@ -97,10 +107,12 @@ func (s *tagStore) count() int {
 	return n
 }
 
-// corrupt XORs bits into the address of a valid slot (fault
-// injection); it mirrors corruptTag over the SoA layout.
-func (s *tagStore) corrupt(i int, xor uint64) bool {
-	if i < 0 || i >= len(s.addrs) || s.addrs[i] == invalidAddr {
+// corrupt XORs bits into the address of way of set, in a partition
+// of ways slots per set (fault injection). Out-of-range and invalid
+// slots return false and leave the state untouched.
+func (s *tagStore) corrupt(set, ways, way int, xor uint64) bool {
+	i := set*ways + way
+	if way < 0 || way >= ways || s.addrs[i] == invalidAddr {
 		return false
 	}
 	s.addrs[i] ^= xor

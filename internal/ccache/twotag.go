@@ -10,8 +10,8 @@ import "basevictim/internal/policy"
 type twoTagBase struct {
 	cfg   Config
 	sets  int
-	lways int   // logical ways = 2 * physical
-	tags  []tag // [set*lways + l]
+	lways int      // logical ways = 2 * physical
+	tags  tagStore // [set*lways + l]
 	pol   policy.Policy
 	stats Stats
 	res   Result
@@ -27,7 +27,7 @@ func newTwoTagBase(cfg Config) (*twoTagBase, error) {
 		cfg:   cfg,
 		sets:  sets,
 		lways: lways,
-		tags:  make([]tag, sets*lways),
+		tags:  newTagStore(cfg.Arena, sets*lways),
 		pol:   cfg.Policy(sets, lways),
 	}, nil
 }
@@ -41,37 +41,18 @@ func (c *twoTagBase) Policy() policy.Policy { return c.pol }
 
 func (c *twoTagBase) set(lineAddr uint64) int { return int(lineAddr & uint64(c.sets-1)) }
 
-func (c *twoTagBase) tagAt(set, l int) *tag { return &c.tags[set*c.lways+l] }
-
 // partnerOf returns the logical way sharing l's physical way.
 func partnerOf(l int) int { return l ^ 1 }
 
-func (c *twoTagBase) find(lineAddr uint64) (l int, ok bool) {
-	set := c.set(lineAddr)
-	for i := 0; i < c.lways; i++ {
-		if t := c.tagAt(set, i); t.valid && t.addr == lineAddr {
-			return i, true
-		}
-	}
-	return -1, false
+func (c *twoTagBase) find(lineAddr uint64) int {
+	return c.tags.find(c.set(lineAddr)*c.lways, c.lways, lineAddr)
 }
 
 // Contains implements Org.
-func (c *twoTagBase) Contains(lineAddr uint64) bool {
-	_, ok := c.find(lineAddr)
-	return ok
-}
+func (c *twoTagBase) Contains(lineAddr uint64) bool { return c.find(lineAddr) >= 0 }
 
 // LogicalLines implements Org.
-func (c *twoTagBase) LogicalLines() int {
-	n := 0
-	for i := range c.tags {
-		if c.tags[i].valid {
-			n++
-		}
-	}
-	return n
-}
+func (c *twoTagBase) LogicalLines() int { return c.tags.count() }
 
 // HintEviction forwards an L2 reuse hint to the replacement policy if
 // it listens (CHAR).
@@ -80,9 +61,16 @@ func (c *twoTagBase) HintEviction(lineAddr uint64, dead bool) {
 	if !ok {
 		return
 	}
-	if l, found := c.find(lineAddr); found {
+	if l := c.find(lineAddr); l >= 0 {
 		h.OnEvictionHint(c.set(lineAddr), l, dead)
 	}
+}
+
+// fitsBeside reports whether a line of segs segments fits in logical
+// way l beside l's partner.
+func (c *twoTagBase) fitsBeside(set, l, segs int) bool {
+	p := set*c.lways + partnerOf(l)
+	return !c.tags.valid(p) || int(c.tags.segs[p])+segs <= WaySegments
 }
 
 // evict removes logical line l, emitting writeback and back-invalidate
@@ -92,20 +80,30 @@ func (c *twoTagBase) HintEviction(lineAddr uint64, dead bool) {
 // leaves no room), so an invalid slot is a silent no-op — emitting its
 // stale tag would back-invalidate an unrelated resident line.
 func (c *twoTagBase) evict(set, l int) {
-	t := c.tagAt(set, l)
-	if !t.valid {
+	i := set*c.lways + l
+	if !c.tags.valid(i) {
 		return
 	}
+	addr := c.tags.addrs[i]
 	c.stats.Evictions++
-	c.res.Evicted = append(c.res.Evicted, t.addr)
-	c.res.BackInvals = append(c.res.BackInvals, t.addr)
+	c.res.Evicted = append(c.res.Evicted, addr)
+	c.res.BackInvals = append(c.res.BackInvals, addr)
 	c.stats.BackInvals++
-	if t.dirty {
-		c.res.Writebacks = append(c.res.Writebacks, t.addr)
+	if c.tags.dirty[i] {
+		c.res.Writebacks = append(c.res.Writebacks, addr)
 		c.stats.Writebacks++
 	}
-	t.valid = false
+	c.tags.invalidate(i)
 	c.pol.OnInvalidate(set, l)
+}
+
+// victimizePartner evicts l's partner when a line of segs segments no
+// longer fits beside it.
+func (c *twoTagBase) victimizePartner(set, l, segs int) {
+	if !c.fitsBeside(set, l, segs) {
+		c.stats.PartnerEvictions++
+		c.evict(set, partnerOf(l))
+	}
 }
 
 // Access implements the shared two-tag lookup. A write hit updates the
@@ -115,8 +113,8 @@ func (c *twoTagBase) Access(lineAddr uint64, write bool, segs int) *Result {
 	c.res.reset()
 	c.stats.Accesses++
 	set := c.set(lineAddr)
-	l, ok := c.find(lineAddr)
-	if !ok {
+	l := c.find(lineAddr)
+	if l < 0 {
 		c.stats.Misses++
 		if mo, ok := c.pol.(policy.MissObserver); ok {
 			mo.OnMiss(set)
@@ -125,23 +123,19 @@ func (c *twoTagBase) Access(lineAddr uint64, write bool, segs int) *Result {
 	}
 	c.stats.Hits++
 	c.stats.BaseHits++
-	t := c.tagAt(set, l)
+	i := set*c.lways + l
 	c.res.Hit = true
-	if needsDecompression(t.segs) {
+	if needsDecompression(int(c.tags.segs[i])) {
 		c.res.Decompress = true
 		c.stats.Decompressions++
 	}
 	c.pol.OnHit(set, l)
 	if write {
-		t.dirty = true
+		c.tags.dirty[i] = true
 		segs = clampSegs(segs)
-		p := c.tagAt(set, partnerOf(l))
-		if p.valid && segs+p.segs > WaySegments {
-			c.stats.PartnerEvictions++
-			c.evict(set, partnerOf(l))
-		}
-		t.segs = segs
-		if c.tagAt(set, partnerOf(l)).valid {
+		c.victimizePartner(set, l, segs)
+		c.tags.segs[i] = uint8(segs)
+		if c.tags.valid(set*c.lways + partnerOf(l)) {
 			c.res.PartnerWrite = true
 			c.stats.PartnerWrites++
 		}
@@ -151,24 +145,27 @@ func (c *twoTagBase) Access(lineAddr uint64, write bool, segs int) *Result {
 
 // fillAt installs a line in logical way l, assuming space has been made.
 func (c *twoTagBase) fillAt(set, l int, lineAddr uint64, segs int, dirty bool) {
-	*c.tagAt(set, l) = tag{addr: lineAddr, valid: true, dirty: dirty, segs: segs}
+	c.tags.put(set*c.lways+l, tag{addr: lineAddr, valid: true, dirty: dirty, segs: segs})
 	c.pol.OnFill(set, l)
-	if c.tagAt(set, partnerOf(l)).valid {
+	if c.tags.valid(set*c.lways + partnerOf(l)) {
 		c.res.PartnerWrite = true
 		c.stats.PartnerWrites++
 	}
+}
+
+// replace installs a line in logical way l over its current occupant,
+// victimizing l's partner too if the line does not fit beside it.
+func (c *twoTagBase) replace(set, l int, lineAddr uint64, segs int, dirty bool) {
+	c.evict(set, l)
+	c.victimizePartner(set, l, segs)
+	c.fillAt(set, l, lineAddr, segs, dirty)
 }
 
 // freeSlot returns an invalid logical way whose partner leaves room for
 // segs, or -1.
 func (c *twoTagBase) freeSlot(set, segs int) int {
 	for l := 0; l < c.lways; l++ {
-		t := c.tagAt(set, l)
-		if t.valid {
-			continue
-		}
-		p := c.tagAt(set, partnerOf(l))
-		if !p.valid || p.segs+segs <= WaySegments {
+		if !c.tags.valid(set*c.lways+l) && c.fitsBeside(set, l, segs) {
 			return l
 		}
 	}
@@ -205,16 +202,7 @@ func (c *TwoTag) Fill(lineAddr uint64, segs int, dirty bool) *Result {
 		c.fillAt(set, l, lineAddr, segs, dirty)
 		return &c.res
 	}
-	l := c.pol.Victim(set)
-	c.evict(set, l)
-	p := c.tagAt(set, partnerOf(l))
-	if p.valid && segs+p.segs > WaySegments {
-		// Partner line victimization: the incoming line does not fit
-		// with the victim's partner, so the partner goes too.
-		c.stats.PartnerEvictions++
-		c.evict(set, partnerOf(l))
-	}
-	c.fillAt(set, l, lineAddr, segs, dirty)
+	c.replace(set, c.pol.Victim(set), lineAddr, segs, dirty)
 	return &c.res
 }
 
@@ -250,37 +238,27 @@ func (c *TwoTagModified) Fill(lineAddr uint64, segs int, dirty bool) *Result {
 		return &c.res
 	}
 	rec, _ := c.pol.(policy.Recency)
+	root := set * c.lways
 	best := -1
 	for l := 0; l < c.lways; l++ {
-		t := c.tagAt(set, l)
-		if !t.valid {
+		if !c.tags.valid(root + l) {
 			continue
 		}
 		if rec != nil && !rec.NotRecent(set, l) {
 			continue
 		}
-		p := c.tagAt(set, partnerOf(l))
-		if p.valid && segs+p.segs > WaySegments {
+		if !c.fitsBeside(set, l, segs) {
 			continue // replacing l would still displace its partner
 		}
-		if best < 0 || t.segs > c.tagAt(set, best).segs {
+		if best < 0 || c.tags.segs[root+l] > c.tags.segs[root+best] {
 			best = l
 		}
 	}
-	if best >= 0 {
-		c.evict(set, best)
-		c.fillAt(set, best, lineAddr, segs, dirty)
-		return &c.res
+	if best < 0 {
+		// No fit-preserving candidate: naive partner victimization.
+		best = c.pol.Victim(set)
 	}
-	// No fit-preserving candidate: naive partner victimization.
-	l := c.pol.Victim(set)
-	c.evict(set, l)
-	p := c.tagAt(set, partnerOf(l))
-	if p.valid && segs+p.segs > WaySegments {
-		c.stats.PartnerEvictions++
-		c.evict(set, partnerOf(l))
-	}
-	c.fillAt(set, l, lineAddr, segs, dirty)
+	c.replace(set, best, lineAddr, segs, dirty)
 	return &c.res
 }
 

@@ -16,8 +16,8 @@ import "basevictim/internal/policy"
 type VSCFunctional struct {
 	cfg   Config
 	sets  int
-	lways int
-	tags  []tag
+	lways int      // logical ways = 2 * physical
+	tags  tagStore // [set*lways + l]
 	lru   *policy.LRU
 	stats Stats
 	res   Result
@@ -34,7 +34,7 @@ func NewVSCFunctional(cfg Config) (*VSCFunctional, error) {
 		cfg:   cfg,
 		sets:  sets,
 		lways: lways,
-		tags:  make([]tag, sets*lways),
+		tags:  newTagStore(cfg.Arena, sets*lways),
 		lru:   policy.NewLRU(sets, lways).(*policy.LRU),
 	}, nil
 }
@@ -53,42 +53,22 @@ func (c *VSCFunctional) Stats() *Stats { return &c.stats }
 
 func (c *VSCFunctional) set(lineAddr uint64) int { return int(lineAddr & uint64(c.sets-1)) }
 
-func (c *VSCFunctional) tagAt(set, l int) *tag { return &c.tags[set*c.lways+l] }
-
-func (c *VSCFunctional) find(lineAddr uint64) (int, bool) {
-	set := c.set(lineAddr)
-	for l := 0; l < c.lways; l++ {
-		if t := c.tagAt(set, l); t.valid && t.addr == lineAddr {
-			return l, true
-		}
-	}
-	return -1, false
+func (c *VSCFunctional) find(lineAddr uint64) int {
+	return c.tags.find(c.set(lineAddr)*c.lways, c.lways, lineAddr)
 }
 
 // Contains implements Org.
-func (c *VSCFunctional) Contains(lineAddr uint64) bool {
-	_, ok := c.find(lineAddr)
-	return ok
-}
+func (c *VSCFunctional) Contains(lineAddr uint64) bool { return c.find(lineAddr) >= 0 }
 
 // LogicalLines implements Org.
-func (c *VSCFunctional) LogicalLines() int {
-	n := 0
-	for i := range c.tags {
-		if c.tags[i].valid {
-			n++
-		}
-	}
-	return n
-}
+func (c *VSCFunctional) LogicalLines() int { return c.tags.count() }
 
-// usedSegments returns the occupied segment count in a set.
+// usedSegments returns the occupied segment count in a set. Invalid
+// slots hold size 0, so no validity test is needed.
 func (c *VSCFunctional) usedSegments(set int) int {
 	n := 0
-	for l := 0; l < c.lways; l++ {
-		if t := c.tagAt(set, l); t.valid {
-			n += t.segs
-		}
+	for _, s := range c.tags.segs[set*c.lways : (set+1)*c.lways] {
+		n += int(s)
 	}
 	return n
 }
@@ -96,16 +76,17 @@ func (c *VSCFunctional) usedSegments(set int) int {
 func (c *VSCFunctional) capacity() int { return c.cfg.Ways * WaySegments }
 
 func (c *VSCFunctional) evict(set, l int) {
-	t := c.tagAt(set, l)
+	i := set*c.lways + l
+	addr := c.tags.addrs[i]
 	c.stats.Evictions++
-	c.res.Evicted = append(c.res.Evicted, t.addr)
-	c.res.BackInvals = append(c.res.BackInvals, t.addr)
+	c.res.Evicted = append(c.res.Evicted, addr)
+	c.res.BackInvals = append(c.res.BackInvals, addr)
 	c.stats.BackInvals++
-	if t.dirty {
-		c.res.Writebacks = append(c.res.Writebacks, t.addr)
+	if c.tags.dirty[i] {
+		c.res.Writebacks = append(c.res.Writebacks, addr)
 		c.stats.Writebacks++
 	}
-	t.valid = false
+	c.tags.invalidate(i)
 	c.lru.OnInvalidate(set, l)
 }
 
@@ -114,13 +95,9 @@ func (c *VSCFunctional) evict(set, l int) {
 // skipping keep (-1 for none). This is the multi-line eviction
 // behaviour Section II calls out as VSC's replacement complexity.
 func (c *VSCFunctional) makeRoom(set, need, keep int, needTag bool) {
+	root := set * c.lways
 	for {
-		freeTag := !needTag
-		for l := 0; !freeTag && l < c.lways; l++ {
-			if !c.tagAt(set, l).valid {
-				freeTag = true
-			}
-		}
+		freeTag := !needTag || c.tags.firstInvalid(root, c.lways) >= 0
 		if freeTag && c.usedSegments(set)+need <= c.capacity() {
 			return
 		}
@@ -128,7 +105,7 @@ func (c *VSCFunctional) makeRoom(set, need, keep int, needTag bool) {
 		victim := -1
 		for i := len(order) - 1; i >= 0; i-- {
 			l := order[i]
-			if l != keep && c.tagAt(set, l).valid {
+			if l != keep && c.tags.valid(root+l) {
 				victim = l
 				break
 			}
@@ -146,27 +123,28 @@ func (c *VSCFunctional) Access(lineAddr uint64, write bool, segs int) *Result {
 	c.res.reset()
 	c.stats.Accesses++
 	set := c.set(lineAddr)
-	l, ok := c.find(lineAddr)
-	if !ok {
+	l := c.find(lineAddr)
+	if l < 0 {
 		c.stats.Misses++
 		return &c.res
 	}
 	c.stats.Hits++
 	c.stats.BaseHits++
 	c.res.Hit = true
-	t := c.tagAt(set, l)
-	if needsDecompression(t.segs) {
+	i := set*c.lways + l
+	oldSegs := int(c.tags.segs[i])
+	if needsDecompression(oldSegs) {
 		c.res.Decompress = true
 		c.stats.Decompressions++
 	}
 	c.lru.OnHit(set, l)
 	if write {
-		t.dirty = true
+		c.tags.dirty[i] = true
 		newSegs := clampSegs(segs)
-		if newSegs > t.segs {
-			c.makeRoom(set, newSegs-t.segs, l, false)
+		if newSegs > oldSegs {
+			c.makeRoom(set, newSegs-oldSegs, l, false)
 		}
-		t.segs = newSegs
+		c.tags.segs[i] = uint8(newSegs)
 	}
 	return &c.res
 }
@@ -178,12 +156,9 @@ func (c *VSCFunctional) Fill(lineAddr uint64, segs int, dirty bool) *Result {
 	segs = clampSegs(segs)
 	set := c.set(lineAddr)
 	c.makeRoom(set, segs, -1, true)
-	for l := 0; l < c.lways; l++ {
-		if !c.tagAt(set, l).valid {
-			*c.tagAt(set, l) = tag{addr: lineAddr, valid: true, dirty: dirty, segs: segs}
-			c.lru.OnFill(set, l)
-			return &c.res
-		}
+	if l := c.tags.firstInvalid(set*c.lways, c.lways); l >= 0 {
+		c.tags.put(set*c.lways+l, tag{addr: lineAddr, valid: true, dirty: dirty, segs: segs})
+		c.lru.OnFill(set, l)
 	}
 	return &c.res
 }

@@ -296,11 +296,11 @@ func New(inner ccache.Org, ccfg ccache.Config, cfg Config) (*Checker, error) {
 		memoWays: 2 * inner.Ways(),
 	}
 	c.memo = make([]segSlot, c.sets*2*c.memoWays)
-	switch root.(type) {
-	case *ccache.Uncompressed:
+	switch root.Name() {
+	case "uncompressed":
 		c.exact = true
 		c.compareDirty = true
-	case *ccache.BaseVictim:
+	case "basevictim":
 		c.guarantee = true
 		c.compareDirty = ccfg.Inclusive
 	}
@@ -614,10 +614,8 @@ func (c *Checker) sweep() {
 	if len(c.violations) > 0 {
 		return
 	}
-	if ig, ok := c.root.(ccache.IntegrityChecker); ok {
-		if err := ig.Integrity(); err != nil {
-			c.report("integrity", 0, err.Error())
-		}
+	if err := c.insp.Integrity(); err != nil {
+		c.report("integrity", 0, err.Error())
 	}
 }
 

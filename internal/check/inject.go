@@ -170,7 +170,7 @@ func (i *Injector) arm() {
 // tag, scanning forward until one is found (false on an empty cache).
 func (i *Injector) corruptSomeTag() bool {
 	root := ccache.Root(i.inner)
-	cor, ok := root.(ccache.Corrupter)
+	insp, ok := root.(ccache.Inspector)
 	if !ok {
 		return false
 	}
@@ -179,7 +179,7 @@ func (i *Injector) corruptSomeTag() bool {
 	for ds := 0; ds < sets; ds++ {
 		set := (start + ds) % sets
 		for slot := 0; slot < slots; slot++ {
-			if cor.CorruptTag(set, slot, tagXorBit) {
+			if insp.CorruptTag(set, slot, tagXorBit) {
 				return true
 			}
 		}

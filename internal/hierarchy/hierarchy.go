@@ -179,7 +179,7 @@ func NewIn(a *arena.Arena, cfg Config, llc ccache.Org, mem *dram.System, sizer S
 		h.segsLine[i] = ^uint64(0)
 	}
 	h.hinter, _ = llc.(ccache.EvictionHinter)
-	if _, ok := ccache.Root(llc).(*ccache.Uncompressed); !ok {
+	if ccache.Root(llc).Name() != "uncompressed" {
 		h.tagPenalty = cfg.ExtraTagCycles
 	}
 	// Single-core hierarchies snoop only themselves; ShareLLC replaces

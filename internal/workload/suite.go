@@ -111,10 +111,13 @@ func insensitiveShape(p *Profile, streaming bool) {
 	}
 }
 
-// vary perturbs a value by up to +/-frac deterministically.
+// vary perturbs a value by up to +/-frac deterministically. The
+// float64(...) conversions keep each product (the division by 2^52
+// compiles to one) out of a fused multiply-add, so every architecture
+// rounds alike.
 func vary(v float64, frac float64, h uint64) float64 {
-	u := float64(splitmix64(h)>>11)/(1<<53)*2 - 1 // [-1, 1)
-	return v * (1 + frac*u)
+	u := float64(float64(splitmix64(h)>>11)/(1<<52)) - 1 // [-1, 1)
+	return v * (1 + float64(frac*u))
 }
 
 // Suite returns the 100-trace workload suite. Profiles are

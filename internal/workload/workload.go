@@ -262,11 +262,18 @@ func logApprox(x float64) float64 {
 		x /= 2
 		e++
 	}
-	// Atanh-based series for ln m on [1,2).
+	// Atanh-based series for ln m on [1,2), evaluated by Horner's rule.
+	// Every product added to something is wrapped in float64(...): the
+	// Go spec forbids fusing across an explicit conversion, so arm64's
+	// multiply-add instructions cannot round differently from amd64.
 	t := (x - 1) / (x + 1)
 	t2 := t * t
-	s := t * (1 + t2*(1.0/3+t2*(1.0/5+t2*(1.0/7+t2*(1.0/9+t2/11)))))
-	return 2*s + float64(e)*0.6931471805599453
+	p := 1.0/9 + t2/11
+	p = 1.0/7 + float64(t2*p)
+	p = 1.0/5 + float64(t2*p)
+	p = 1.0/3 + float64(t2*p)
+	s := float64(t * (1 + float64(t2*p)))
+	return float64(2*s) + float64(float64(e)*0.6931471805599453)
 }
 
 // Values is the profile's value model: it synthesizes line contents
