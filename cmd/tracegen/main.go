@@ -10,10 +10,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"basevictim"
 	"basevictim/internal/atomicio"
@@ -22,30 +25,48 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", cliexit.Describe(err))
-		os.Exit(cliexit.Code(err))
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
-func run() error {
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		name = flag.String("trace", "mcf.p1", "suite trace to materialize")
-		n    = flag.Uint64("n", 1_000_000, "number of operations")
-		out  = flag.String("o", "", "output file (default <trace>.bvtr)")
-		dump = flag.String("dump", "", "inspect an existing trace file and exit")
+		name = fs.String("trace", "mcf.p1", "suite trace to materialize")
+		n    = fs.Uint64("n", 1_000_000, "number of operations")
+		out  = fs.String("o", "", "output file (default <trace>.bvtr)")
+		dump = fs.String("dump", "", "inspect an existing trace file and exit")
 	)
-	flag.Parse()
-
-	if *dump != "" {
-		return inspect(*dump)
+	if err := fs.Parse(args); err != nil {
+		return cliexit.Usage
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "tracegen: unexpected arguments %q\n", fs.Args())
+		return cliexit.Usage
+	}
+	var err error
+	if *dump != "" {
+		err = inspect(stdout, *dump)
+	} else {
+		err = generate(ctx, stdout, *name, *n, *out)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "tracegen:", cliexit.Describe(err))
+		return cliexit.Code(err)
+	}
+	return cliexit.OK
+}
 
-	tr, err := basevictim.TraceByName(*name)
+// generate writes the first n operations of the named suite trace to
+// path (default <trace>.bvtr), polling ctx between operations.
+func generate(ctx context.Context, stdout io.Writer, name string, n uint64, path string) error {
+	tr, err := basevictim.TraceByName(name)
 	if err != nil {
 		return err
 	}
-	path := *out
 	if path == "" {
 		path = tr.Name + ".bvtr"
 	}
@@ -62,7 +83,12 @@ func run() error {
 		return err
 	}
 	gen := tr.Stream()
-	for i := uint64(0); i < *n; i++ {
+	for i := uint64(0); i < n; i++ {
+		if i%4096 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 		op, ok := gen.Next()
 		if !ok {
 			break
@@ -81,12 +107,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d ops to %s (%d bytes, %.2f bytes/op)\n",
-		w.Count(), path, st.Size(), float64(st.Size())/float64(w.Count()))
+	fmt.Fprintf(stdout, "wrote %d ops to %s (%d bytes", w.Count(), path, st.Size())
+	if w.Count() > 0 {
+		fmt.Fprintf(stdout, ", %.2f bytes/op", float64(st.Size())/float64(w.Count()))
+	}
+	fmt.Fprintln(stdout, ")")
 	return nil
 }
 
-func inspect(path string) error {
+func inspect(stdout io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -125,9 +154,9 @@ func inspect(path string) error {
 			}
 		}
 	}
-	fmt.Printf("%s: %d ops (%d loads, %d stores, %d dependent loads)\n", path, ops, loads, stores, deps)
+	fmt.Fprintf(stdout, "%s: %d ops (%d loads, %d stores, %d dependent loads)\n", path, ops, loads, stores, deps)
 	if loads+stores > 0 {
-		fmt.Printf("address range: [%#x, %#x] (%.1f MB footprint)\n",
+		fmt.Fprintf(stdout, "address range: [%#x, %#x] (%.1f MB footprint)\n",
 			minAddr, maxAddr, float64(maxAddr-minAddr)/(1<<20))
 	}
 	return nil

@@ -71,6 +71,13 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate reports whether the geometry is realizable: a positive size
+// and way count giving a power-of-two number of sets.
+func (c Config) Validate() error {
+	_, err := c.sets()
+	return err
+}
+
 func (c Config) sets() (int, error) {
 	if c.SizeBytes <= 0 || c.Ways <= 0 {
 		return 0, fmt.Errorf("ccache: bad config %+v", c)

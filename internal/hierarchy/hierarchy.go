@@ -66,7 +66,9 @@ func DefaultConfig() Config {
 
 // Sizer supplies the compressed size of a line's contents. gen counts
 // how many times the line has been written back from the L2, letting
-// workloads model stores that change compressibility.
+// workloads model stores that change compressibility. The hierarchy
+// asks on every LLC fill and writeback and keeps no memo of its own;
+// a sizer that is costly per call memoizes (workload.Values does).
 type Sizer interface {
 	Segments(lineAddr uint64, gen uint32) int
 }
@@ -109,15 +111,10 @@ type Hierarchy struct {
 	sizer Sizer
 	gen   *flatmap.Map[uint32]
 	// genFilter is a one-hash Bloom filter over gen's keys: most lines
-	// are never written back from the L2, so most segsOf calls can
-	// prove gen == 0 from one bit instead of a map lookup. Bits are
-	// only ever set (no deletion), so a clear bit is authoritative.
+	// are never written back from the L2, so most LLC fills can prove
+	// gen == 0 from one bit instead of a map lookup. Bits are only
+	// ever set (no deletion), so a clear bit is authoritative.
 	genFilter []uint64
-	// segsLine/segsVal is a direct-mapped cache of segsOf answers,
-	// kept current by writebackToLLC (see segsOf). An all-ones line is
-	// unreachable and marks an empty slot.
-	segsLine []uint64
-	segsVal  []int8
 
 	// AddrOffset shifts this core's addresses so multi-program cores
 	// do not alias in the shared LLC (distinct address spaces).
@@ -172,11 +169,6 @@ func NewIn(a *arena.Arena, cfg Config, llc ccache.Org, mem *dram.System, sizer S
 		LLC: llc, Mem: mem, sizer: sizer,
 		gen:       flatmap.New[uint32](1 << 12),
 		genFilter: arena.Make[uint64](a, genFilterWords),
-		segsLine:  arena.Make[uint64](a, segsCacheSize),
-		segsVal:   arena.Make[int8](a, segsCacheSize),
-	}
-	for i := range h.segsLine {
-		h.segsLine[i] = ^uint64(0)
 	}
 	h.hinter, _ = llc.(ccache.EvictionHinter)
 	if ccache.Root(llc).Name() != "uncompressed" {
@@ -232,37 +224,6 @@ func (h *Hierarchy) genOf(line uint64) uint32 {
 	}
 	g, _ := h.gen.Get(line)
 	return g
-}
-
-// segsCacheSize is the direct-mapped compressed-size cache: 2^18
-// entries comfortably cover the LLC's line working set, so the common
-// "size this line again" query is one array probe instead of a filter
-// check, a generation lookup and a sizer memo lookup.
-const (
-	segsCacheBits = 18
-	segsCacheSize = 1 << segsCacheBits
-)
-
-// segsIdx maps a line to its segs-cache slot.
-func segsIdx(line uint64) int {
-	return int((line * 0x9E3779B97F4A7C15) >> (64 - segsCacheBits))
-}
-
-// segsOf returns the compressed size of the line's current contents.
-// The answer is cached per line; writebackToLLC is the only event that
-// changes a line's generation and it rewrites the entry, so a cache
-// hit is always current.
-//
-//bv:steadystate
-func (h *Hierarchy) segsOf(line uint64) int {
-	i := segsIdx(line)
-	if h.segsLine[i] == line {
-		return int(h.segsVal[i])
-	}
-	s := h.sizer.Segments(line, h.genOf(line))
-	h.segsLine[i] = line
-	h.segsVal[i] = int8(s)
-	return s
 }
 
 // Load performs a demand data read of addr at time now, returning the
@@ -325,23 +286,6 @@ func (h *Hierarchy) innerMiss(now uint64, line uint64, write bool) uint64 {
 		}
 	}
 	done := h.llcDemand(now, line)
-	// A prefetch fill issued during the miss can displace the in-flight
-	// demand line from the LLC (or demote it into the Victim Cache);
-	// hardware pins it in an MSHR. Re-establish base residency before
-	// filling inward so inclusion and the victim-lines-never-above
-	// invariant hold.
-	if !h.LLC.ContainsBase(line) {
-		r := h.LLC.Access(line, false, 0)
-		hit := r.Hit
-		h.consume(r)
-		if hit {
-			h.Stats.LLCDataReads++
-		} else {
-			h.Stats.DemandDRAMReads++
-			h.Mem.Access(now, line, false)
-			h.llcFill(line, false)
-		}
-	}
 	h.fillL2(line)
 	return done
 }
@@ -362,6 +306,7 @@ func (h *Hierarchy) llcDemand(now uint64, line uint64) uint64 {
 			h.prefetchInto(now, p, 3)
 		}
 	}
+	// All of this miss's prefetch fills precede this access: the line ends Baseline-resident.
 	r := h.LLC.Access(line, false, 0)
 	hit, decompress := r.Hit, r.Decompress
 	h.consume(r)
@@ -386,7 +331,7 @@ func (h *Hierarchy) llcTagPenalty() uint64 { return h.tagPenalty }
 // llcFill installs a fetched line into the LLC and processes the
 // resulting evictions.
 func (h *Hierarchy) llcFill(line uint64, dirty bool) {
-	segs := h.segsOf(line)
+	segs := h.sizer.Segments(line, h.genOf(line))
 	h.Stats.Compressions++
 	h.Stats.LLCDataWrites++
 	r := h.LLC.Fill(line, segs, dirty)
@@ -466,8 +411,6 @@ func (h *Hierarchy) writebackToLLC(line uint64) {
 	w, m := genBit(line)
 	h.genFilter[w] |= m
 	segs := h.sizer.Segments(line, g)
-	h.segsLine[segsIdx(line)] = line
-	h.segsVal[segsIdx(line)] = int8(segs)
 	h.Stats.Compressions++
 	h.Stats.LLCDataWrites++
 	r := h.LLC.Access(line, true, segs)

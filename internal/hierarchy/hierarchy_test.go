@@ -2,6 +2,7 @@ package hierarchy
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"basevictim/internal/ccache"
@@ -56,6 +57,30 @@ func TestNewValidation(t *testing.T) {
 	llc, _ := ccache.NewUncompressed(smallLLC())
 	if _, err := New(bad, llc, dram.New(dram.DefaultConfig()), FixedSizer(8)); err == nil {
 		t.Fatal("bad L1 geometry accepted")
+	}
+}
+
+// TestNewFootprint bounds what one heap-backed New allocates. Every
+// bvsimd request builds a hierarchy in a fresh worker process, so each
+// byte here is allocated and faulted in on every cold run; a 2^18-entry
+// compressed-size memo once made it 2.5 MB.
+func TestNewFootprint(t *testing.T) {
+	llc, err := ccache.NewBaseVictim(ccache.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := dram.New(dram.DefaultConfig())
+	const runs, limit = 4, 512 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := New(DefaultConfig(), llc, mem, FixedSizer(8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > limit {
+		t.Fatalf("New allocates %d B per call, want at most %d", per, limit)
 	}
 }
 

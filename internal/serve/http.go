@@ -144,7 +144,9 @@ type runResponse struct {
 }
 
 // buildConfig turns a request's config patch + budget into the full
-// sim.Config, enforcing the admission caps.
+// sim.Config, enforcing the admission caps and refusing any config the
+// simulator would reject (sim.Config.Validate), so a doomed request
+// never reaches a worker.
 func (s *Server) buildConfig(raw json.RawMessage, instructions uint64) (sim.Config, error) {
 	cfg := sim.Default()
 	if len(raw) > 0 {
@@ -164,18 +166,32 @@ func (s *Server) buildConfig(raw json.RawMessage, instructions uint64) (sim.Conf
 		return sim.Config{}, fmt.Errorf("instruction budget %d exceeds the server cap %d",
 			cfg.Instructions, s.cfg.MaxInstructions)
 	}
-	valid := false
-	for _, o := range sim.OrgKinds() {
-		if string(cfg.Org) == o {
-			valid = true
-			break
-		}
-	}
-	if !valid {
-		return sim.Config{}, fmt.Errorf("unknown org %q (want one of %s)",
-			cfg.Org, strings.Join(sim.OrgKinds(), ", "))
+	if err := cfg.Validate(); err != nil {
+		return sim.Config{}, err
 	}
 	return cfg, nil
+}
+
+// parseRun decodes and admits a /v1/run body: a known trace, a config
+// that can run within the budget cap, and a known class. Every error
+// is the client's; handleRun answers it 400 bad_request.
+func (s *Server) parseRun(body io.Reader) (runRequest, sim.Config, class, error) {
+	var req runRequest
+	if err := decodeBody(body, &req); err != nil {
+		return req, sim.Config{}, 0, fmt.Errorf("bad request body: %w", err)
+	}
+	if _, ok := workload.ByName(workload.Suite(), req.Trace); !ok {
+		return req, sim.Config{}, 0, fmt.Errorf("unknown trace %q", req.Trace)
+	}
+	cfg, err := s.buildConfig(req.Config, req.Instructions)
+	if err != nil {
+		return req, sim.Config{}, 0, err
+	}
+	cls, err := parseClass(req.Class, classInteractive)
+	if err != nil {
+		return req, sim.Config{}, 0, err
+	}
+	return req, cfg, cls, nil
 }
 
 // clientID attributes a request to a quota bucket: the X-Client-ID
@@ -210,21 +226,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			"draining: not accepting new runs", 5*time.Second)
 		return
 	}
-	var req runRequest
-	if err := decodeBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	if _, ok := workload.ByName(workload.Suite(), req.Trace); !ok {
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("unknown trace %q", req.Trace))
-		return
-	}
-	cfg, err := s.buildConfig(req.Config, req.Instructions)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	cls, err := parseClass(req.Class, classInteractive)
+	req, cfg, cls, err := s.parseRun(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return

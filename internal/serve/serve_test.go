@@ -9,7 +9,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -155,22 +157,49 @@ func TestRunWorkerProcessMatchesInProcess(t *testing.T) {
 	}
 }
 
+// badRequest is a request body admission must refuse with a 400.
+type badRequest struct {
+	name string
+	path string // endpoint; "" means /v1/run
+	body any
+	want string // substring of the error
+}
+
+// badRequests lists the refusals TestBadRequests checks over HTTP; its
+// /v1/run bodies also seed FuzzRunRequest.
+func badRequests() []badRequest {
+	patch := func(field string, v any) map[string]any {
+		return map[string]any{"trace": "mcf.p1", "instructions": 1000, "config": map[string]any{field: v}}
+	}
+	return []badRequest{
+		{"unknown trace", "", map[string]any{"trace": "nope", "instructions": 1000}, "unknown trace"},
+		{"zero budget", "", map[string]any{"trace": "mcf.p1", "instructions": 0, "config": map[string]any{"Instructions": 0}}, "budget"},
+		{"budget over cap", "", map[string]any{"trace": "mcf.p1", "instructions": uint64(1) << 40}, "exceeds the server cap"},
+		{"unknown org", "", patch("Org", "warp"), "unknown org"},
+		{"unknown config field", "", patch("Flux", 1), "bad config"},
+		{"unknown policy", "", patch("Policy", "bogus"), "unknown policy"},
+		{"unknown victim policy", "", patch("VictimPolicy", "bogus"), "unknown victim selector"},
+		{"unknown compressor", "", patch("Compressor", "bogus"), "unknown compressor"},
+		{"unknown check level", "", patch("Check", "bogus"), "unknown level"},
+		{"unknown fault kind", "", patch("Inject", "bogus"), "unknown fault kind"},
+		{"unrealizable LLC geometry", "", patch("LLCWays", 3), "power-of-two set count"},
+		{"sweep with unknown policy", "/v1/sweep",
+			map[string]any{"set": "all", "instructions": 1000, "config": map[string]any{"Policy": "bogus"}}, "unknown policy"},
+	}
+}
+
+// TestBadRequests: every malformed body or unrunnable config is a 400
+// bad_request answered at admission, so no simulation is ever started
+// for it.
 func TestBadRequests(t *testing.T) {
 	s := startServer(t, Config{InProcess: true})
 	base := "http://" + s.Addr()
-	cases := []struct {
-		name string
-		body any
-		want string // substring of the error
-	}{
-		{"unknown trace", map[string]any{"trace": "nope", "instructions": 1000}, "unknown trace"},
-		{"zero budget", map[string]any{"trace": "mcf.p1", "instructions": 0, "config": map[string]any{"Instructions": 0}}, "budget"},
-		{"budget over cap", map[string]any{"trace": "mcf.p1", "instructions": uint64(1) << 40}, "exceeds the server cap"},
-		{"unknown org", map[string]any{"trace": "mcf.p1", "instructions": 1000, "config": map[string]any{"Org": "warp"}}, "unknown org"},
-		{"unknown config field", map[string]any{"trace": "mcf.p1", "instructions": 1000, "config": map[string]any{"Flux": 1}}, "bad config"},
-	}
-	for _, c := range cases {
-		resp, body := postJSON(t, base+"/v1/run", c.body)
+	for _, c := range badRequests() {
+		path := c.path
+		if path == "" {
+			path = "/v1/run"
+		}
+		resp, body := postJSON(t, base+path, c.body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", c.name, resp.StatusCode, body)
 			continue
@@ -193,6 +222,54 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("trailing garbage: status %d, want 400", resp.StatusCode)
 	}
+	if n := counterValue(t, s, "serve.runs_executed"); n != 0 {
+		t.Fatalf("runs_executed = %d, want 0: a rejected request started a simulation", n)
+	}
+}
+
+// FuzzRunRequest drives /v1/run's admission parsing (decodeBody,
+// buildConfig, parseClass) on arbitrary bytes. It must never panic,
+// every rejection must reach the client as a 400 bad_request, and every
+// accepted body must yield a config that validates, names a known org
+// and stays within the budget cap.
+func FuzzRunRequest(f *testing.F) {
+	for _, c := range badRequests() {
+		if c.path != "" {
+			continue
+		}
+		b, err := json.Marshal(c.body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"trace":"mcf.p1","instructions":1000} trailing`))
+	f.Add([]byte(`{"trace":"mcf.p1","instructions":5000,"class":"batch","config":{"Org":"twotag","Policy":"srrip","Check":"cheap","Inject":"tag@10"}}`))
+	s, err := New(Config{InProcess: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		_, cfg, _, err := s.parseRun(bytes.NewReader(body))
+		if err != nil {
+			rec := httptest.NewRecorder()
+			s.handleRun(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+			var eb errorBody
+			if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &eb) != nil || eb.Kind != "bad_request" {
+				t.Fatalf("rejection %q answered %d %s, want 400 bad_request", err, rec.Code, rec.Body)
+			}
+			return
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("accepted config fails validation: %v", err)
+		}
+		if !slices.Contains(sim.OrgKinds(), string(cfg.Org)) {
+			t.Fatalf("accepted unknown org %q", cfg.Org)
+		}
+		if cfg.Instructions == 0 || cfg.Instructions > s.cfg.MaxInstructions {
+			t.Fatalf("accepted budget %d outside (0, %d]", cfg.Instructions, s.cfg.MaxInstructions)
+		}
+	})
 }
 
 func TestTracesEndpoint(t *testing.T) {

@@ -9,6 +9,8 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 
 	"basevictim/internal/arena"
 	"basevictim/internal/ccache"
@@ -118,6 +120,36 @@ func OrgKinds() []string {
 		string(OrgUncompressed), string(OrgTwoTag), string(OrgTwoTagMod),
 		string(OrgBaseVictim), string(OrgVSC),
 	}
+}
+
+// Validate applies the checks a run makes before it simulates: the
+// organization kind, the policy and victim-selector names, the LLC
+// geometry, the compressor, the check level and the fault spec. It
+// builds nothing, so a service can refuse a config that could never
+// run before it spends a worker on it.
+func (c Config) Validate() error {
+	if !slices.Contains(OrgKinds(), string(c.Org)) {
+		return fmt.Errorf("unknown org %q (want one of %s)", c.Org, strings.Join(OrgKinds(), ", "))
+	}
+	cc, err := ccacheConfig(c)
+	if err != nil {
+		return err
+	}
+	if err := cc.Validate(); err != nil {
+		return err
+	}
+	if _, err := compressorFor(c.Compressor); err != nil {
+		return err
+	}
+	if _, err := check.ParseLevel(c.Check); err != nil {
+		return err
+	}
+	if c.Inject != "" {
+		if _, err := check.ParseSpec(c.Inject); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ccacheConfig translates the simulation config into the organization
@@ -254,16 +286,24 @@ type Result struct {
 	Obs *obs.Snapshot `json:",omitempty"`
 }
 
+// compressorFor resolves Config.Compressor; nil selects the traces'
+// built-in BDI value model.
+func compressorFor(name string) (compress.Compressor, error) {
+	if name == "" || name == "bdi" {
+		return nil, nil
+	}
+	return compress.ByName(name)
+}
+
 // sizerFor builds the trace's value model under the configured
 // compression algorithm.
 func sizerFor(p workload.Profile, cfg Config) (hierarchy.Sizer, error) {
-	name := cfg.Compressor
-	if name == "" || name == "bdi" {
-		return p.Values(), nil
-	}
-	c, err := compress.ByName(name)
-	if err != nil {
+	c, err := compressorFor(cfg.Compressor)
+	switch {
+	case err != nil:
 		return nil, err
+	case c == nil:
+		return p.Values(), nil
 	}
 	return p.ValuesWith(c), nil
 }

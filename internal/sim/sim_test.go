@@ -57,6 +57,38 @@ func TestUnknownOrgAndPolicy(t *testing.T) {
 	}
 }
 
+// TestValidateAgreesWithRun: Validate refuses exactly what a run would
+// refuse at construction, without building anything.
+func TestValidateAgreesWithRun(t *testing.T) {
+	for _, org := range OrgKinds() {
+		c := quickCfg(OrgKind(org))
+		c.Compressor, c.Check, c.Inject = "fpc", "full", "size@100"
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s: valid config refused: %v", org, err)
+		}
+	}
+	p := sensitiveTrace(t)
+	bad := map[string]func(*Config){
+		"org":        func(c *Config) { c.Org = "nope" },
+		"policy":     func(c *Config) { c.Policy = "nope" },
+		"victim":     func(c *Config) { c.VictimPolicy = "nope" },
+		"compressor": func(c *Config) { c.Compressor = "nope" },
+		"check":      func(c *Config) { c.Check = "nope" },
+		"inject":     func(c *Config) { c.Inject = "nope@1" },
+		"geometry":   func(c *Config) { c.LLCWays = 3 },
+	}
+	for name, mutate := range bad {
+		c := quickCfg(OrgBaseVictim)
+		mutate(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, c)
+		}
+		if _, err := RunSingle(p, c); err == nil {
+			t.Errorf("%s: RunSingle accepted %+v", name, c)
+		}
+	}
+}
+
 // TestBaseVictimBeatsBaselineOnSensitiveTrace is the headline result in
 // miniature: on a compression-friendly, cache-sensitive trace the
 // Base-Victim LLC must not lose to the uncompressed baseline, and must
