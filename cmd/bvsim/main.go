@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"basevictim"
-	"basevictim/internal/check"
 	"basevictim/internal/cliexit"
 	"basevictim/internal/obs"
 	"basevictim/internal/policy"
@@ -52,17 +51,6 @@ func main() {
 	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
 	stop()
 	os.Exit(code)
-}
-
-// validateChoice rejects a flag value not in the valid list, naming
-// every accepted value in the error.
-func validateChoice(flagName, val string, valid []string) error {
-	for _, v := range valid {
-		if val == v {
-			return nil
-		}
-	}
-	return fmt.Errorf("invalid -%s %q (valid: %s)", flagName, val, strings.Join(valid, ", "))
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
@@ -107,26 +95,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// Validate every enumerated flag before any simulation runs, so a
-	// typo fails in milliseconds with the valid values spelled out.
-	if err := validateChoice("org", *org, sim.OrgKinds()); err != nil {
-		return usage(stderr, err)
-	}
-	if err := validateChoice("policy", *pol, policy.Names()); err != nil {
-		return usage(stderr, err)
-	}
-	if err := validateChoice("victim", *victim, policy.VictimNames()); err != nil {
-		return usage(stderr, err)
-	}
-	if _, err := check.ParseLevel(*checkLvl); err != nil {
-		return usage(stderr, fmt.Errorf("invalid -check %q (valid: off, cheap, full)", *checkLvl))
-	}
-	if *inject != "" {
-		if _, err := check.ParseSpec(*inject); err != nil {
-			return usage(stderr, fmt.Errorf("invalid -inject: %w", err))
-		}
-	}
-
 	cfg := basevictim.BaseVictimConfig()
 	cfg.Org = basevictim.OrgKind(*org)
 	cfg.Policy = *pol
@@ -137,6 +105,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	cfg.Check = *checkLvl
 	cfg.Inject = *inject
 	cfg.Seed = *seed
+	// Validate the whole configuration before any simulation runs, so a
+	// typo or an unrealizable LLC geometry fails in milliseconds as a
+	// usage error, with every flag's valid values spelled out.
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(stderr, "bvsim:", err)
+		fs.Usage()
+		return cliexit.Usage
+	}
 
 	// Observability setup. One observer covers whichever run mode
 	// executes below; for -compare only the primary leg is observed

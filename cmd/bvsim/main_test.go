@@ -19,20 +19,23 @@ func runCLI(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-// TestInvalidEnumFlags: each enumerated flag rejects a bad value before
-// any simulation, naming the valid alternatives on stderr.
+// TestInvalidEnumFlags: each enumerated flag, and an LLC geometry with
+// no power-of-two set count, is a usage error before any simulation,
+// with the valid alternatives on stderr.
 func TestInvalidEnumFlags(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
 		want []string // substrings that must appear on stderr
 	}{
-		{"org", []string{"-org", "zcache"}, []string{`-org "zcache"`, "basevictim", "twotag", "vsc2x", "uncompressed"}},
-		{"policy", []string{"-policy", "plru"}, []string{`-policy "plru"`, "lru", "nru", "drrip"}},
-		{"victim", []string{"-victim", "fifo"}, []string{`-victim "fifo"`, "ecm", "sizelru"}},
-		{"check", []string{"-check", "paranoid"}, []string{`-check "paranoid"`, "off", "cheap", "full"}},
+		{"org", []string{"-org", "zcache"}, []string{`unknown org "zcache"`, "basevictim", "twotag", "vsc2x", "uncompressed"}},
+		{"policy", []string{"-policy", "plru"}, []string{`unknown policy "plru"`, "lru", "nru", "drrip"}},
+		{"victim", []string{"-victim", "fifo"}, []string{"unknown victim selector fifo", "ecm", "sizelru"}},
+		{"check", []string{"-check", "paranoid"}, []string{`unknown level "paranoid"`, "off", "cheap", "full"}},
 		{"inject", []string{"-inject", "bitrot@5"}, []string{"-inject", "bitrot", "tag"}},
 		{"inject-at", []string{"-inject", "tag@zero"}, []string{"-inject", "tag@zero"}},
+		{"ways", []string{"-ways", "3"}, []string{"size 2097152 / 3 ways", "power-of-two set count"}},
+		{"size", []string{"-size", "3"}, []string{"size 3145728 / 16 ways", "power-of-two set count"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"basevictim/internal/check"
 	"basevictim/internal/obs"
@@ -173,15 +175,27 @@ func TestParallelViolationPropagates(t *testing.T) {
 func TestRunJobsStopsAfterFailure(t *testing.T) {
 	s := parallelSession(2)
 	const n = 64
-	var ran sync.Map
+	var (
+		ran  sync.Map
+		stop atomic.Bool
+	)
 	failAt := 5
-	err := s.runJobs(context.Background(), n, func(i int) error {
+	// A batch that never stops lets its jobs through after 10 s and
+	// fails below.
+	giveUp := time.Now().Add(10 * time.Second)
+	err := s.runJobsUntil(context.Background(), n, func(i int) error {
+		// Every later job waits until job 5's failure has stopped the
+		// batch, so the other worker cannot drain the trivial jobs
+		// while job 5 is still on its way to the stop.
+		for i > failAt && !stop.Load() && time.Now().Before(giveUp) {
+			time.Sleep(time.Millisecond)
+		}
 		ran.Store(i, true)
 		if i == failAt {
 			return fmt.Errorf("job %d failed", i)
 		}
 		return nil
-	})
+	}, &stop)
 	if err == nil || err.Error() != "job 5 failed" {
 		t.Fatalf("err = %v, want job 5 failure", err)
 	}

@@ -44,6 +44,14 @@ func (s *Session) workerCount() int {
 // additionally stops launching new jobs once ctx is done and returns
 // ctx.Err() if no job reported an error first.
 func (s *Session) runJobs(ctx context.Context, n int, job func(i int) error) error {
+	var stop atomic.Bool
+	return s.runJobsUntil(ctx, n, job, &stop)
+}
+
+// runJobsUntil is runJobs with the stop flag in the caller's hands: a
+// failure that cancels the batch sets it, and no job starts once it is
+// set.
+func (s *Session) runJobsUntil(ctx context.Context, n int, job func(i int) error, stop *atomic.Bool) error {
 	if n == 0 {
 		return nil
 	}
@@ -51,10 +59,7 @@ func (s *Session) runJobs(ctx context.Context, n int, job func(i int) error) err
 	if workers > n {
 		workers = n
 	}
-	var (
-		next atomic.Int64
-		stop atomic.Bool
-	)
+	var next atomic.Int64
 	errs := make([]error, n)
 	worker := func() {
 		for {

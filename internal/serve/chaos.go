@@ -1,20 +1,24 @@
 package serve
 
 // Deterministic fault injection for the service's chaos harness. A
-// chaos spec names which worker launches misbehave, by 1-based launch
-// index, so a test (or the CI chaos job) can script an exact failure
-// sequence and assert the recovery path — no sleeps, no probability.
+// chaos spec names which job attempts misbehave, by 1-based attempt
+// index counted service-wide, so a test (or the CI chaos job) can
+// script an exact failure sequence and assert the recovery path — no
+// sleeps, no probability. An attempt runs on a fresh or a reused
+// worker; the fault lands on whichever process runs it, and that
+// process is never reused.
 //
 // Grammar: comma-separated directives.
 //
-//	kill@N    SIGKILL the Nth worker launch after its first heartbeat
-//	stall@N   the Nth launch heartbeats once, then hangs forever
+//	kill@N    SIGKILL the worker running the Nth attempt after its
+//	          first heartbeat
+//	stall@N   the Nth attempt heartbeats once, then hangs forever
 //	          (the supervisor's hung-run detector must kill it)
-//	kill%N    kill every Nth launch (kill%1 = kill them all)
-//	stall%N   stall every Nth launch
+//	kill%N    kill every Nth attempt (kill%1 = kill them all)
+//	stall%N   stall every Nth attempt
 //
-// Directives compose: "kill@1,stall@2" fails the first two launches
-// in different ways; the third, clean, launch must then succeed.
+// Directives compose: "kill@1,stall@2" fails the first two attempts
+// in different ways; the third, clean, attempt must then succeed.
 
 import (
 	"fmt"
@@ -79,15 +83,15 @@ func parseChaos(s string) (*chaosSpec, error) {
 }
 
 // action reports what (if anything) should go wrong with the given
-// worker launch. Kill wins when both verbs match one launch.
-func (c *chaosSpec) action(launch int) chaosAction {
+// attempt. Kill wins when both verbs match one attempt.
+func (c *chaosSpec) action(attempt int) chaosAction {
 	if c == nil {
 		return chaosNone
 	}
-	if c.killAt[launch] || (c.killEvery > 0 && launch%c.killEvery == 0) {
+	if c.killAt[attempt] || (c.killEvery > 0 && attempt%c.killEvery == 0) {
 		return chaosKill
 	}
-	if c.stallAt[launch] || (c.stallEvery > 0 && launch%c.stallEvery == 0) {
+	if c.stallAt[attempt] || (c.stallEvery > 0 && attempt%c.stallEvery == 0) {
 		return chaosStall
 	}
 	return chaosNone

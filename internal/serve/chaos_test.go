@@ -113,7 +113,7 @@ func TestChaosKillAllQuarantine(t *testing.T) {
 	if n := counterValue(t, s, "serve.quarantined"); n != 1 {
 		t.Errorf("serve.quarantined counter = %d, want 1", n)
 	}
-	launches := s.pool.launches.Load()
+	launches := s.pool.attempts.Load()
 	// The poison key fails fast now: same structured error, no new
 	// worker launches.
 	resp2, body2 := postJSON(t, base+"/v1/run", req)
@@ -124,7 +124,7 @@ func TestChaosKillAllQuarantine(t *testing.T) {
 	if err := json.Unmarshal(body2, &eb2); err != nil || eb2.Kind != kindQuarantined {
 		t.Fatalf("repeat body %s, want kind %q", body2, kindQuarantined)
 	}
-	if after := s.pool.launches.Load(); after != launches {
+	if after := s.pool.attempts.Load(); after != launches {
 		t.Errorf("quarantined repeat launched %d more workers", after-launches)
 	}
 	// A different key is untouched by the quarantine bookkeeping (it

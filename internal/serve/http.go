@@ -34,6 +34,12 @@ import (
 
 const maxBodyBytes = 1 << 20
 
+// maxLLCBytes caps a request's LLC size. A worker sizes the
+// organization's tag arrays from it, so without a cap one request
+// could ask for terabytes; 64 MiB is over 5x the largest LLC any
+// shipped experiment uses (12 MiB, Fig. 13).
+const maxLLCBytes = 64 << 20
+
 // decodeBody reads one strict JSON value: unknown fields and trailing
 // data are errors, not silently dropped intent.
 func decodeBody(r io.Reader, v any) error {
@@ -165,6 +171,10 @@ func (s *Server) buildConfig(raw json.RawMessage, instructions uint64) (sim.Conf
 	if cfg.Instructions > s.cfg.MaxInstructions {
 		return sim.Config{}, fmt.Errorf("instruction budget %d exceeds the server cap %d",
 			cfg.Instructions, s.cfg.MaxInstructions)
+	}
+	if cfg.LLCSizeBytes > maxLLCBytes {
+		return sim.Config{}, fmt.Errorf("LLC size %d bytes exceeds the server cap %d",
+			cfg.LLCSizeBytes, maxLLCBytes)
 	}
 	if err := cfg.Validate(); err != nil {
 		return sim.Config{}, err

@@ -25,7 +25,8 @@ type metrics struct {
 	shedDrain    *obs.Counter // 503: refused while draining
 	clientGone   *obs.Counter // request context ended before delivery
 	runsExecuted *obs.Counter // runner invocations (cache misses)
-	retries      *obs.Counter // worker re-launches after a retryable fault
+	retries      *obs.Counter // attempts retried after a retryable fault
+	starts       *obs.Counter // worker processes started
 	restarts     *obs.Counter // worker processes that died without a result
 	hungKills    *obs.Counter // workers killed by the heartbeat watchdog
 	chaosKills   *obs.Counter // workers killed by injected chaos
@@ -44,7 +45,7 @@ type metrics struct {
 	draining         *obs.Gauge // 1 once drain has begun
 	quotaClients     *obs.Gauge // live per-client quota buckets
 
-	attempts  *obs.Histogram // launches needed per successful pool run
+	attempts  *obs.Histogram // attempts needed per successful pool run
 	requestMS *obs.Histogram // /v1/run wall latency, with trace-ID exemplars
 }
 
@@ -60,6 +61,7 @@ func newMetrics() *metrics {
 		clientGone:       reg.Counter("serve.client_disconnects"),
 		runsExecuted:     reg.Counter("serve.runs_executed"),
 		retries:          reg.Counter("serve.worker_retries"),
+		starts:           reg.Counter("serve.worker_starts"),
 		restarts:         reg.Counter("serve.worker_restarts"),
 		hungKills:        reg.Counter("serve.worker_hung_kills"),
 		chaosKills:       reg.Counter("serve.worker_chaos_kills"),

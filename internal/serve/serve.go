@@ -38,7 +38,8 @@ import (
 // serving default, and chaos is off.
 type Config struct {
 	// Workers is the number of concurrent simulations (dispatcher
-	// goroutines, each driving at most one worker process). Default 2.
+	// goroutines, each driving at most one worker process at a time)
+	// and the most idle worker processes kept between jobs. Default 2.
 	Workers int
 	// QueueDepth bounds the admission queue; a request that does not
 	// fit is shed with 429, never parked. Default 64.
@@ -54,7 +55,7 @@ type Config struct {
 	// MaxInstructions caps the per-request instruction budget.
 	// Default 200M (the paper's full-length runs).
 	MaxInstructions uint64
-	// MaxAttempts is worker launches per run before quarantine;
+	// MaxAttempts is worker attempts per run before quarantine;
 	// BackoffBase/BackoffCap and Seed shape the retry schedule.
 	MaxAttempts int
 	BackoffBase time.Duration
@@ -193,6 +194,7 @@ func New(cfg Config) (*Server, error) {
 			heartbeat:   cfg.Heartbeat,
 			hungAfter:   cfg.HungAfter,
 			maxAttempts: cfg.MaxAttempts,
+			maxIdle:     cfg.Workers,
 			backoffBase: cfg.BackoffBase,
 			backoffCap:  cfg.BackoffCap,
 			seed:        cfg.Seed,
@@ -306,9 +308,10 @@ func (s *Server) ExportTraces(path string) error {
 
 // Drain is the graceful shutdown: stop admitting (new requests shed
 // with 503), let the dispatchers finish and persist every already
-// accepted job, deliver those responses, then stop. If ctx expires
-// first the remaining runs are cancelled — workers killed, their keys
-// simply absent from the checkpoint directory, never half-written.
+// accepted job, deliver those responses, shut down the idle worker
+// processes and wait for each, then stop. If ctx expires first the
+// remaining runs are cancelled — workers killed, their keys simply
+// absent from the checkpoint directory, never half-written.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
@@ -330,6 +333,11 @@ func (s *Server) Drain(ctx context.Context) error {
 			s.cancelBase() // cancels every request ctx, which kills the workers
 			<-done
 			s.drainErr = ctx.Err()
+		}
+		if s.pool != nil {
+			// No dispatcher is left to take a worker, so every live
+			// worker is idle now; none may outlive the service.
+			s.pool.close()
 		}
 		if s.http != nil {
 			if err := s.http.Shutdown(ctx); err != nil {

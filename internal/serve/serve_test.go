@@ -183,6 +183,7 @@ func badRequests() []badRequest {
 		{"unknown check level", "", patch("Check", "bogus"), "unknown level"},
 		{"unknown fault kind", "", patch("Inject", "bogus"), "unknown fault kind"},
 		{"unrealizable LLC geometry", "", patch("LLCWays", 3), "power-of-two set count"},
+		{"LLC over cap", "", patch("LLCSizeBytes", int64(1)<<40), "LLC size"},
 		{"sweep with unknown policy", "/v1/sweep",
 			map[string]any{"set": "all", "instructions": 1000, "config": map[string]any{"Policy": "bogus"}}, "unknown policy"},
 	}
@@ -231,7 +232,7 @@ func TestBadRequests(t *testing.T) {
 // buildConfig, parseClass) on arbitrary bytes. It must never panic,
 // every rejection must reach the client as a 400 bad_request, and every
 // accepted body must yield a config that validates, names a known org
-// and stays within the budget cap.
+// and stays within the budget and LLC size caps.
 func FuzzRunRequest(f *testing.F) {
 	for _, c := range badRequests() {
 		if c.path != "" {
@@ -268,6 +269,9 @@ func FuzzRunRequest(f *testing.F) {
 		}
 		if cfg.Instructions == 0 || cfg.Instructions > s.cfg.MaxInstructions {
 			t.Fatalf("accepted budget %d outside (0, %d]", cfg.Instructions, s.cfg.MaxInstructions)
+		}
+		if cfg.LLCSizeBytes > maxLLCBytes {
+			t.Fatalf("accepted LLC size %d over the cap %d", cfg.LLCSizeBytes, maxLLCBytes)
 		}
 	})
 }

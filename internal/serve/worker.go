@@ -2,13 +2,18 @@ package serve
 
 // The worker side of the supervisor/worker protocol. bvsimd re-execs
 // its own binary with BVSIMD_WORKER=1 in the environment; the child
-// calls WorkerMain, which:
+// calls WorkerMain, which serves jobs in sequence until stdin ends:
 //
-//  1. reads one jobEnvelope (JSON) from stdin,
+//  1. reads one jobEnvelope (JSON) line from stdin,
 //  2. emits an immediate first heartbeat line, then one every
 //     HeartbeatMS while the simulation runs,
 //  3. emits exactly one terminal line — {"result": ...} or
-//     {"error": ..., "kind": ...} — and exits 0.
+//     {"error": ..., "kind": ...}.
+//
+// Only a job that ended in a result line may be followed by another:
+// after an error line (or a stall) the worker exits, so a process
+// whose run failed never serves another key. Stdin EOF between jobs
+// is the clean shutdown, exit 0.
 //
 // Everything on stdout is newline-delimited JSON; stderr is free-form
 // diagnostics that the supervisor attaches to crash errors. A worker
@@ -37,7 +42,7 @@ import (
 // it first thing in main and diverts into WorkerMain.
 const workerEnvVar = "BVSIMD_WORKER"
 
-// jobEnvelope is the one job a worker process runs.
+// jobEnvelope is one job a worker process runs.
 type jobEnvelope struct {
 	Trace       string     `json:"trace"`
 	Config      sim.Config `json:"config"`
@@ -83,21 +88,36 @@ func (w *lineWriter) send(ln workerLine) {
 	w.enc.Encode(ln) //nolint:errcheck // a broken pipe means the supervisor is gone; the next write or exit ends us
 }
 
-// WorkerMain is the worker-process entry point. It returns the process
-// exit code; protocol-level failures (undecodable envelope) are the
-// only nonzero exits.
+// WorkerMain is the worker-process entry point. It serves jobs until
+// stdin ends or a job fails, and returns the process exit code;
+// protocol-level failures (undecodable envelope) are the only nonzero
+// exits.
 func WorkerMain(ctx context.Context, stdin io.Reader, stdout, stderr io.Writer) int {
-	var job jobEnvelope
 	dec := json.NewDecoder(stdin)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&job); err != nil {
-		fmt.Fprintf(stderr, "bvsimd worker: bad job envelope: %v\n", err)
-		return 1
-	}
 	out := &lineWriter{enc: json.NewEncoder(stdout)}
+	for {
+		var job jobEnvelope
+		if err := dec.Decode(&job); err != nil {
+			if errors.Is(err, io.EOF) {
+				return 0
+			}
+			fmt.Fprintf(stderr, "bvsimd worker: bad job envelope: %v\n", err)
+			return 1
+		}
+		if !serveJob(ctx, job, out) {
+			return 0
+		}
+	}
+}
+
+// serveJob runs one job under the heartbeat protocol and reports
+// whether it ended in a result line, the one outcome after which the
+// process may take another job.
+func serveJob(ctx context.Context, job jobEnvelope, out *lineWriter) bool {
 	// First heartbeat before any work: the supervisor uses it both to
 	// arm chaos kills deterministically and to distinguish "worker
-	// never started" from "worker died mid-run".
+	// never took the job" from "worker died mid-run".
 	out.send(workerLine{HB: true})
 
 	if job.Stall {
@@ -105,7 +125,7 @@ func WorkerMain(ctx context.Context, stdin io.Reader, stdout, stderr io.Writer) 
 		// supervisor's watchdog must SIGKILL us; waiting on ctx keeps
 		// the goroutine parked instead of spinning.
 		<-ctx.Done()
-		return 0
+		return false
 	}
 
 	hb := time.Duration(job.HeartbeatMS) * time.Millisecond
@@ -134,10 +154,10 @@ func WorkerMain(ctx context.Context, stdin io.Reader, stdout, stderr io.Writer) 
 	wg.Wait() // no heartbeat may trail the terminal line
 	if err != nil {
 		out.send(workerLine{Error: err.Error(), Kind: classifyError(err)})
-		return 0
+		return false
 	}
 	out.send(workerLine{Result: &res})
-	return 0
+	return true
 }
 
 func runJob(ctx context.Context, job jobEnvelope) (sim.Result, error) {
