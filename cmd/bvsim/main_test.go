@@ -30,7 +30,7 @@ func TestInvalidEnumFlags(t *testing.T) {
 	}{
 		{"org", []string{"-org", "zcache"}, []string{`unknown org "zcache"`, "basevictim", "twotag", "vsc2x", "uncompressed"}},
 		{"policy", []string{"-policy", "plru"}, []string{`unknown policy "plru"`, "lru", "nru", "drrip"}},
-		{"victim", []string{"-victim", "fifo"}, []string{"unknown victim selector fifo", "ecm", "sizelru"}},
+		{"victim", []string{"-victim", "fifo"}, []string{`unknown victim selector "fifo"`, "ecm", "sizelru"}},
 		{"check", []string{"-check", "paranoid"}, []string{`unknown level "paranoid"`, "off", "cheap", "full"}},
 		{"inject", []string{"-inject", "bitrot@5"}, []string{"-inject", "bitrot", "tag"}},
 		{"inject-at", []string{"-inject", "tag@zero"}, []string{"-inject", "tag@zero"}},

@@ -80,7 +80,7 @@ func (c Config) Validate() error {
 
 func (c Config) sets() (int, error) {
 	if c.SizeBytes <= 0 || c.Ways <= 0 {
-		return 0, fmt.Errorf("ccache: bad config %+v", c)
+		return 0, fmt.Errorf("ccache: bad config: size %d / %d ways (both must be positive)", c.SizeBytes, c.Ways)
 	}
 	sets := c.SizeBytes / (64 * c.Ways)
 	if sets == 0 || sets*c.Ways*64 != c.SizeBytes || sets&(sets-1) != 0 {

@@ -1,7 +1,9 @@
 package ccache
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -46,6 +48,30 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewVSCFunctional(bad); err == nil {
 		t.Error("vsc accepted bad config")
+	}
+}
+
+// TestConfigErrorNamesGeometry: a non-positive size or way count is
+// reported by its two numbers, never as a dump of the whole config with
+// its policy constructors printed as function pointers.
+func TestConfigErrorNamesGeometry(t *testing.T) {
+	for _, c := range []Config{
+		{SizeBytes: 0, Ways: 16},
+		{SizeBytes: 2 << 20, Ways: 0},
+		{SizeBytes: -64, Ways: 16},
+	} {
+		c.Policy, c.Victim = tinyConfig().Policy, tinyConfig().Victim
+		err := c.Validate()
+		if err == nil {
+			t.Fatalf("size %d / %d ways accepted", c.SizeBytes, c.Ways)
+		}
+		msg := err.Error()
+		if strings.Contains(msg, "0x") {
+			t.Errorf("error prints pointers: %s", msg)
+		}
+		if want := fmt.Sprintf("size %d / %d ways", c.SizeBytes, c.Ways); !strings.Contains(msg, want) {
+			t.Errorf("error %q does not name %q", msg, want)
+		}
 	}
 }
 

@@ -66,9 +66,10 @@ func DefaultConfig() Config {
 
 // Sizer supplies the compressed size of a line's contents. gen counts
 // how many times the line has been written back from the L2, letting
-// workloads model stores that change compressibility. The hierarchy
-// asks on every LLC fill and writeback and keeps no memo of its own;
-// a sizer that is costly per call memoizes (workload.Values does).
+// workloads model stores that change compressibility. A hierarchy with
+// a sizer asks it on every LLC fill and writeback and keeps no memo of
+// its own; a sizer that is costly per call memoizes (workload.Values
+// does). A hierarchy without one stores every line raw.
 type Sizer interface {
 	Segments(lineAddr uint64, gen uint32) int
 }
@@ -108,6 +109,8 @@ type Hierarchy struct {
 
 	pfL1, pfL2, pfLLC *prefetch.Prefetcher
 
+	// sizer sizes lines for the LLC; nil stores every line raw, and
+	// then gen and genFilter stay nil too.
 	sizer Sizer
 	gen   *flatmap.Map[uint32]
 	// genFilter is a one-hash Bloom filter over gen's keys: most lines
@@ -144,10 +147,17 @@ func New(cfg Config, llc ccache.Org, mem *dram.System, sizer Sizer) (*Hierarchy,
 
 // NewIn is New with the private caches' and prefetchers' state carved
 // from the arena, so a run's hierarchy can be freed wholesale (nil
-// falls back to the heap).
+// falls back to the heap). A nil sizer stores every line raw and
+// tracks no write generations; only an uncompressed LLC accepts one,
+// since a compressed organization given no sizes would never pair a
+// victim line.
 func NewIn(a *arena.Arena, cfg Config, llc ccache.Org, mem *dram.System, sizer Sizer) (*Hierarchy, error) {
-	if llc == nil || mem == nil || sizer == nil {
-		return nil, fmt.Errorf("hierarchy: llc, mem and sizer are required")
+	if llc == nil || mem == nil {
+		return nil, fmt.Errorf("hierarchy: llc and mem are required")
+	}
+	raw := ccache.Root(llc).Name() == "uncompressed"
+	if sizer == nil && !raw {
+		return nil, fmt.Errorf("hierarchy: a %s LLC needs a sizer", ccache.Root(llc).Name())
 	}
 	mk := func(size, ways int) (*cache.Cache, error) {
 		return cache.NewIn(a, cache.Geometry{SizeBytes: size, Ways: ways}, policy.NewLRU)
@@ -167,11 +177,13 @@ func NewIn(a *arena.Arena, cfg Config, llc ccache.Org, mem *dram.System, sizer S
 	h := &Hierarchy{
 		cfg: cfg, L1I: l1i, L1D: l1d, L2: l2,
 		LLC: llc, Mem: mem, sizer: sizer,
-		gen:       flatmap.New[uint32](1 << 12),
-		genFilter: arena.Make[uint64](a, genFilterWords),
+	}
+	if sizer != nil {
+		h.gen = flatmap.New[uint32](1 << 12)
+		h.genFilter = arena.Make[uint64](a, genFilterWords)
 	}
 	h.hinter, _ = llc.(ccache.EvictionHinter)
-	if ccache.Root(llc).Name() != "uncompressed" {
+	if !raw {
 		h.tagPenalty = cfg.ExtraTagCycles
 	}
 	// Single-core hierarchies snoop only themselves; ShareLLC replaces
@@ -331,7 +343,10 @@ func (h *Hierarchy) llcTagPenalty() uint64 { return h.tagPenalty }
 // llcFill installs a fetched line into the LLC and processes the
 // resulting evictions.
 func (h *Hierarchy) llcFill(line uint64, dirty bool) {
-	segs := h.sizer.Segments(line, h.genOf(line))
+	segs := ccache.WaySegments
+	if h.sizer != nil {
+		segs = h.sizer.Segments(line, h.genOf(line))
+	}
 	h.Stats.Compressions++
 	h.Stats.LLCDataWrites++
 	r := h.LLC.Fill(line, segs, dirty)
@@ -406,11 +421,14 @@ func (h *Hierarchy) fillL2(line uint64) {
 //
 //bv:steadystate
 func (h *Hierarchy) writebackToLLC(line uint64) {
-	g := h.genOf(line) + 1
-	h.gen.Put(line, g)
-	w, m := genBit(line)
-	h.genFilter[w] |= m
-	segs := h.sizer.Segments(line, g)
+	segs := ccache.WaySegments
+	if h.sizer != nil {
+		g := h.genOf(line) + 1
+		h.gen.Put(line, g)
+		w, m := genBit(line)
+		h.genFilter[w] |= m
+		segs = h.sizer.Segments(line, g)
+	}
 	h.Stats.Compressions++
 	h.Stats.LLCDataWrites++
 	r := h.LLC.Access(line, true, segs)

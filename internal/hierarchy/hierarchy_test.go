@@ -60,6 +60,82 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNilSizerOnlyForUncompressed: only an uncompressed LLC may run
+// without a sizer. A compressed organization given no sizes would store
+// every line raw and never retain a victim, with nothing to report it.
+func TestNilSizerOnlyForUncompressed(t *testing.T) {
+	mem := dram.New(dram.DefaultConfig())
+	unc, err := ccache.NewUncompressed(smallLLC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := New(smallCfg(true), unc, mem, nil)
+	if err != nil {
+		t.Fatalf("uncompressed LLC with a nil sizer refused: %v", err)
+	}
+	if h.gen != nil || h.genFilter != nil {
+		t.Fatal("a hierarchy without a sizer built write-generation tracking")
+	}
+	compressed := map[string]func(ccache.Config) (ccache.Org, error){
+		"basevictim": func(c ccache.Config) (ccache.Org, error) { return ccache.NewBaseVictim(c) },
+		"twotag":     func(c ccache.Config) (ccache.Org, error) { return ccache.NewTwoTag(c) },
+		"twotag-mod": func(c ccache.Config) (ccache.Org, error) { return ccache.NewTwoTagModified(c) },
+		"vsc2x":      func(c ccache.Config) (ccache.Org, error) { return ccache.NewVSCFunctional(c) },
+	}
+	for name, mk := range compressed {
+		llc, err := mk(smallLLC())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := New(smallCfg(true), llc, mem, nil); err == nil {
+			t.Errorf("%s LLC accepted a nil sizer", name)
+		}
+	}
+}
+
+// TestNilSizerMatchesSizedUncompressed: an uncompressed LLC stores every
+// line raw whatever the sizer says, so dropping the sizer changes no
+// counter of the hierarchy, the LLC or memory.
+func TestNilSizerMatchesSizedUncompressed(t *testing.T) {
+	for _, pf := range []bool{false, true} {
+		build := func(sizer Sizer) *Hierarchy {
+			llc, err := ccache.NewUncompressed(smallLLC())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return MustNew(smallCfg(pf), llc, dram.New(dram.DefaultConfig()), sizer)
+		}
+		bare, sized := build(nil), build(FixedSizer(3))
+		r := rand.New(rand.NewSource(21))
+		for i := 0; i < 30000; i++ {
+			now, addr := uint64(i), uint64(r.Intn(1<<16))&^63
+			switch r.Intn(8) {
+			case 0, 1:
+				bare.Store(now, addr)
+				sized.Store(now, addr)
+			case 2:
+				bare.Fetch(now, 1<<20+addr&0xfff)
+				sized.Fetch(now, 1<<20+addr&0xfff)
+			default:
+				bare.Load(now, addr)
+				sized.Load(now, addr)
+			}
+		}
+		if bare.Stats != sized.Stats {
+			t.Fatalf("prefetch=%v: hierarchy stats diverged:\nnil   %+v\nsized %+v", pf, bare.Stats, sized.Stats)
+		}
+		if *bare.LLC.Stats() != *sized.LLC.Stats() {
+			t.Fatalf("prefetch=%v: LLC stats diverged:\nnil   %+v\nsized %+v", pf, *bare.LLC.Stats(), *sized.LLC.Stats())
+		}
+		if bare.Mem.Stats != sized.Mem.Stats {
+			t.Fatalf("prefetch=%v: DRAM stats diverged:\nnil   %+v\nsized %+v", pf, bare.Mem.Stats, sized.Mem.Stats)
+		}
+		if bare.Stats.DRAMWrites == 0 || bare.Stats.Compressions == 0 {
+			t.Fatalf("prefetch=%v: stream wrote nothing back (stats %+v)", pf, bare.Stats)
+		}
+	}
+}
+
 // TestNewFootprint bounds what one heap-backed New allocates. Every
 // bvsimd request builds a hierarchy in a fresh worker process, so each
 // byte here is allocated and faulted in on every cold run; a 2^18-entry

@@ -9,7 +9,10 @@
 // their seed so simulations are reproducible.
 package policy
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Policy tracks replacement state and picks victims.
 type Policy interface {
@@ -69,7 +72,7 @@ func ByName(name string) (Factory, error) {
 	case "drrip":
 		return NewDRRIP, nil
 	default:
-		return nil, fmt.Errorf("policy: unknown policy %q", name)
+		return nil, fmt.Errorf("policy: unknown policy %q (want one of %s)", name, strings.Join(Names(), ", "))
 	}
 }
 

@@ -1,5 +1,10 @@
 package policy
 
+import (
+	"fmt"
+	"strings"
+)
+
 // VictimSelector chooses which Victim Cache way receives a line evicted
 // from the Baseline Cache. The caller has already filtered the set down
 // to candidate ways with enough free segments; the selector only ranks
@@ -44,13 +49,9 @@ func VictimByName(name string) (func(sets, ways int) VictimSelector, error) {
 	case "sizelru":
 		return NewSizeLRUVictim, nil
 	default:
-		return nil, errUnknownVictim(name)
+		return nil, fmt.Errorf("policy: unknown victim selector %q (want one of %s)", name, strings.Join(VictimNames(), ", "))
 	}
 }
-
-type errUnknownVictim string
-
-func (e errUnknownVictim) Error() string { return "policy: unknown victim selector " + string(e) }
 
 // RandomVictim picks uniformly among the candidates, preferring
 // unoccupied ways (evicting nothing beats evicting something).

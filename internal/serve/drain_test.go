@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -143,7 +144,17 @@ func TestForcedDrainAbandonsButNeverCorrupts(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() {
-		resp, _ := postJSON(t, base+"/v1/run", map[string]any{"trace": "mcf.p1", "instructions": 1000})
+		// No postJSON here: its t.Fatalf would end this goroutine
+		// without a send when the forced stop drops the connection. A
+		// dropped connection, like an error status, is not a success,
+		// and not-a-success is all this test asserts.
+		resp, err := http.Post(base+"/v1/run", "application/json",
+			strings.NewReader(`{"trace":"mcf.p1","instructions":1000}`))
+		if err != nil {
+			errc <- nil
+			return
+		}
+		resp.Body.Close()
 		if resp.StatusCode == http.StatusOK {
 			errc <- fmt.Errorf("cancelled run reported success")
 			return

@@ -179,11 +179,14 @@ func badRequests() []badRequest {
 		{"unknown config field", "", patch("Flux", 1), "bad config"},
 		{"unknown policy", "", patch("Policy", "bogus"), "unknown policy"},
 		{"unknown victim policy", "", patch("VictimPolicy", "bogus"), "unknown victim selector"},
+		{"unknown policy lists valid ones", "", patch("Policy", "plru"), "nru"},
+		{"unknown victim policy lists valid ones", "", patch("VictimPolicy", "fifo"), "ecm"},
 		{"unknown compressor", "", patch("Compressor", "bogus"), "unknown compressor"},
 		{"unknown check level", "", patch("Check", "bogus"), "unknown level"},
 		{"unknown fault kind", "", patch("Inject", "bogus"), "unknown fault kind"},
 		{"unrealizable LLC geometry", "", patch("LLCWays", 3), "power-of-two set count"},
 		{"LLC over cap", "", patch("LLCSizeBytes", int64(1)<<40), "LLC size"},
+		{"zero LLC size", "", patch("LLCSizeBytes", 0), "size 0 / 16 ways"},
 		{"sweep with unknown policy", "/v1/sweep",
 			map[string]any{"set": "all", "instructions": 1000, "config": map[string]any{"Policy": "bogus"}}, "unknown policy"},
 	}

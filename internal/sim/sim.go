@@ -296,12 +296,16 @@ func compressorFor(name string) (compress.Compressor, error) {
 }
 
 // sizerFor builds the trace's value model under the configured
-// compression algorithm.
+// compression algorithm. An uncompressed LLC stores every line raw, so
+// it gets no value model (a nil sizer), though a bad compressor name
+// is refused all the same.
 func sizerFor(p workload.Profile, cfg Config) (hierarchy.Sizer, error) {
 	c, err := compressorFor(cfg.Compressor)
 	switch {
 	case err != nil:
 		return nil, err
+	case cfg.Org == OrgUncompressed:
+		return nil, nil
 	case c == nil:
 		return p.Values(), nil
 	}
@@ -376,8 +380,9 @@ func RunSingleCtx(ctx context.Context, p workload.Profile, cfg Config) (_ Result
 
 // RunStream executes an arbitrary instruction stream (e.g. a trace
 // file replayed through trace.Reader) against the configuration, using
-// the supplied value model for compressed sizes. It powers trace-file
-// replay in cmd/bvsim.
+// the supplied value model for compressed sizes. An uncompressed run
+// ignores the value model, as RunSingle builds none. It powers
+// trace-file replay in cmd/bvsim.
 func RunStream(s trace.Stream, sizer hierarchy.Sizer, cfg Config) (Result, error) {
 	return RunStreamCtx(context.Background(), s, sizer, cfg)
 }
@@ -391,6 +396,9 @@ func RunStreamCtx(ctx context.Context, s trace.Stream, sizer hierarchy.Sizer, cf
 	org, ck, err := buildLLC(cfg, a)
 	if err != nil {
 		return Result{}, err
+	}
+	if cfg.Org == OrgUncompressed {
+		sizer = nil
 	}
 	mem := dram.New(dram.DefaultConfig())
 	h, err := hierarchy.NewIn(a, hierConfig(cfg), org, mem, sizer)

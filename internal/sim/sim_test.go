@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
+	"basevictim/internal/hierarchy"
 	"basevictim/internal/workload"
 )
 
@@ -76,6 +78,9 @@ func TestValidateAgreesWithRun(t *testing.T) {
 		"check":      func(c *Config) { c.Check = "nope" },
 		"inject":     func(c *Config) { c.Inject = "nope@1" },
 		"geometry":   func(c *Config) { c.LLCWays = 3 },
+		// An uncompressed run builds no value model, yet still refuses
+		// a compressor it could not build one with.
+		"uncompressed compressor": func(c *Config) { c.Org, c.Compressor = OrgUncompressed, "nope" },
 	}
 	for name, mutate := range bad {
 		c := quickCfg(OrgBaseVictim)
@@ -207,6 +212,44 @@ func TestCompressorKnob(t *testing.T) {
 	cfg.Compressor = "lzma"
 	if _, err := RunSingle(p, cfg); err == nil {
 		t.Fatal("unknown compressor accepted")
+	}
+}
+
+// countingSizer counts the size queries a run makes.
+type countingSizer struct {
+	inner hierarchy.Sizer
+	calls int
+}
+
+func (s *countingSizer) Segments(line uint64, gen uint32) int {
+	s.calls++
+	return s.inner.Segments(line, gen)
+}
+
+// TestRunStreamSizesOnlyCompressedRuns: RunStream asks the caller's
+// value model nothing on an uncompressed run, which stores every line
+// raw, and either way matches RunSingle on the same stream.
+func TestRunStreamSizesOnlyCompressedRuns(t *testing.T) {
+	p := sensitiveTrace(t)
+	for _, org := range []OrgKind{OrgUncompressed, OrgBaseVictim} {
+		cfg := quickCfg(org)
+		cfg.Instructions = 60_000
+		sz := &countingSizer{inner: p.Values()}
+		got, err := RunStream(p.Stream(), sz, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", org, err)
+		}
+		if sized := sz.calls > 0; sized != (org != OrgUncompressed) {
+			t.Errorf("%s: %d size queries", org, sz.calls)
+		}
+		want, err := RunSingle(p, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", org, err)
+		}
+		got.Trace = want.Trace
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: RunStream diverged from RunSingle:\nstream %+v\nsingle %+v", org, got, want)
+		}
 	}
 }
 

@@ -278,57 +278,22 @@ func logApprox(x float64) float64 {
 
 // Values is the profile's value model: it synthesizes line contents
 // per (line, generation) and compresses them with a real compressor
-// (BDI by default), memoizing the resulting segment counts. It
-// implements hierarchy.Sizer. A Values is owned by one run; it is not
-// safe for concurrent use (parallel sessions build one per run).
+// (BDI by default). It implements hierarchy.Sizer. Only generation-0
+// sizes of the data footprint are memoized; every other query is sized
+// afresh. A Values is owned by one run; it is not safe for concurrent
+// use (parallel sessions build one per run).
 type Values struct {
 	p    Profile
 	comp compress.Compressor
 	// gen0 memoizes generation-0 sizes for the data footprint — the
-	// overwhelmingly common Segments query — in a flat slice (-1 =
-	// not yet sized), avoiding per-run map churn on the hot path.
-	gen0 []int8
-	// memoKey/memoVal cover everything gen0 cannot: written lines
-	// (gen > 0) and lines outside the footprint (instruction fetches,
-	// offset multi-program address spaces). Keys are (line, gen) packed
-	// as line<<genBits | gen; every shipped address layout stays well
-	// under the line<2^44 bound (the widest is the multi-program
-	// AddrOffset at 4<<44 bytes, line ~2^40), and a generation would
-	// need a million write-backs of one line to overflow genBits, so
-	// out-of-range pairs are simply sized unmemoized. The cache is
-	// direct-mapped rather than an exact map: sizes are pure functions
-	// of the key, so a collision just recomputes, and a fixed footprint
-	// keeps the lookup one predictable probe instead of a growing
-	// open-addressed table that churn workloads push out of the host's
-	// caches. An all-ones key marks an empty slot (a real all-ones key
-	// would need line = 2^44-1 at gen = 2^20-1; it would merely never
-	// cache).
-	memoKey []uint64
-	memoVal []int8
-	buf     []byte
-}
-
-// memoCacheBits sizes the direct-mapped (line, gen) size cache.
-const (
-	memoCacheBits = 17
-	memoCacheSize = 1 << memoCacheBits
-)
-
-// memoIdx maps a packed key to its cache slot.
-func memoIdx(key uint64) int {
-	return int((key * 0x9E3779B97F4A7C15) >> (64 - memoCacheBits))
-}
-
-// genBits is the width of the generation field in packed memo keys.
-const genBits = 20
-
-// packKey packs (line, gen) into a single memo key. ok is false when
-// the pair does not fit, in which case the caller skips memoization.
-func packKey(line uint64, gen uint32) (uint64, bool) {
-	if line >= 1<<(64-genBits) || gen >= 1<<genBits {
-		return 0, false
-	}
-	return line<<genBits | uint64(gen), true
+	// overwhelmingly common Segments query — in a flat slice holding
+	// segments+1, so 0 means not yet sized and a freshly zeroed slice
+	// needs no fill pass. Written lines (gen > 0), instruction fetches
+	// and the multi-program offset address spaces fall outside it: a
+	// (line, gen) cache for them answered too few queries to pay for
+	// its probes.
+	gen0 []uint8
+	buf  []byte
 }
 
 // Values returns the profile's value model under BDI, the paper's
@@ -346,25 +311,11 @@ func (p Profile) ValuesWith(c compress.Compressor) *Values {
 	if c == nil {
 		c = compress.NewBDI()
 	}
-	n := p.TotalLines
-	if n > gen0MemoCap {
-		n = gen0MemoCap
-	}
-	gen0 := make([]int8, n)
-	for i := range gen0 {
-		gen0[i] = -1
-	}
-	memoKey := make([]uint64, memoCacheSize)
-	for i := range memoKey {
-		memoKey[i] = ^uint64(0)
-	}
 	return &Values{
-		p:       p,
-		comp:    c,
-		gen0:    gen0,
-		memoKey: memoKey,
-		memoVal: make([]int8, memoCacheSize),
-		buf:     make([]byte, compress.LineSize),
+		p:    p,
+		comp: c,
+		gen0: make([]uint8, min(p.TotalLines, gen0MemoCap)),
+		buf:  make([]byte, compress.LineSize),
 	}
 }
 
@@ -436,25 +387,14 @@ func (v *Values) fillClass(dst []byte, line uint64, gen uint32, class ValueClass
 //
 //bv:steadystate
 func (v *Values) Segments(line uint64, gen uint32) int {
-	if gen == 0 && line < uint64(len(v.gen0)) {
-		if s := v.gen0[line]; s >= 0 {
-			return int(s)
-		}
-		segs := v.size(line, 0)
-		v.gen0[line] = int8(segs)
-		return segs
-	}
-	key, fits := packKey(line, gen)
-	if !fits {
+	if gen != 0 || line >= uint64(len(v.gen0)) {
 		return v.size(line, gen)
 	}
-	i := memoIdx(key)
-	if v.memoKey[i] == key {
-		return int(v.memoVal[i])
+	if s := v.gen0[line]; s != 0 {
+		return int(s) - 1
 	}
-	segs := v.size(line, gen)
-	v.memoKey[i] = key
-	v.memoVal[i] = int8(segs)
+	segs := v.size(line, 0)
+	v.gen0[line] = uint8(segs + 1)
 	return segs
 }
 

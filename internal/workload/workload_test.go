@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"basevictim/internal/compress"
@@ -131,64 +132,93 @@ func TestCompressibilityCalibration(t *testing.T) {
 	}
 }
 
+// TestValuesRoundTripThroughBDI: Segments answers exactly what BDI
+// makes of the synthesized contents, for generation-0 footprint lines
+// (the memoized path, asked twice so the memo answers the second time)
+// and for everything sized afresh: written generations, lines past the
+// footprint, and a multi-program core's offset address space.
 func TestValuesRoundTripThroughBDI(t *testing.T) {
 	all := Suite()
 	p, _ := ByName(all, "soplex.p1")
 	v := p.Values()
 	bdi := compress.NewBDI()
 	buf := make([]byte, compress.LineSize)
+	past := uint64(p.TotalLines)
+	var lines []uint64
 	for line := uint64(0); line < 500; line++ {
-		class := v.FillLine(buf, line, 0)
-		segs := v.Segments(line, 0)
-		wantSegs := compress.SegmentsFor(bdi.CompressedSize(buf), 4)
-		if compress.IsZeroLine(buf) {
-			wantSegs = 0
-		}
-		if segs != wantSegs {
-			t.Fatalf("line %d class %v: Segments=%d, direct BDI=%d", line, class, segs, wantSegs)
-		}
-		// Class sanity: zero lines must really be zero.
-		if class == VZero && !compress.IsZeroLine(buf) {
-			t.Fatal("VZero line has nonzero bytes")
+		lines = append(lines, line, past+line, 3<<38+line)
+	}
+	for gen := uint32(0); gen <= 3; gen++ {
+		for _, line := range lines {
+			class := v.FillLine(buf, line, gen)
+			wantSegs := compress.SegmentsFor(bdi.CompressedSize(buf), 4)
+			if compress.IsZeroLine(buf) {
+				wantSegs = 0
+			}
+			for range 2 {
+				if segs := v.Segments(line, gen); segs != wantSegs {
+					t.Fatalf("line %d gen %d class %v: Segments=%d, direct BDI=%d", line, gen, class, segs, wantSegs)
+				}
+			}
+			// Class sanity: zero lines must really be zero.
+			if class == VZero && !compress.IsZeroLine(buf) {
+				t.Fatal("VZero line has nonzero bytes")
+			}
 		}
 	}
 }
 
+// TestValuesMemoized: generation-0 footprint sizes land in the dense
+// memo as segments+1; written lines and lines past the footprint are
+// sized afresh and leave it untouched.
 func TestValuesMemoized(t *testing.T) {
 	all := Suite()
 	v := all[0].Values()
+	if len(v.gen0) != all[0].TotalLines {
+		t.Fatalf("gen-0 memo covers %d lines, want the footprint's %d", len(v.gen0), all[0].TotalLines)
+	}
 	a := v.Segments(42, 0)
-	b := v.Segments(42, 0)
-	if a != b {
+	if v.Segments(42, 0) != a {
 		t.Fatal("memoized size changed")
 	}
-	if v.gen0[42] != int8(a) {
-		t.Fatalf("gen-0 memo slot holds %d, want %d", v.gen0[42], a)
+	if v.gen0[42] != uint8(a+1) {
+		t.Fatalf("gen-0 memo slot holds %d, want %d (segments+1)", v.gen0[42], a+1)
 	}
-	// Written lines and out-of-footprint lines take the direct-mapped
-	// cache path.
-	w := v.Segments(42, 1)
-	if v.Segments(42, 1) != w {
-		t.Fatal("memoized written size changed")
-	}
-	far := uint64(len(v.gen0)) + 100
-	f := v.Segments(far, 0)
-	if v.Segments(far, 0) != f {
-		t.Fatal("memoized out-of-footprint size changed")
-	}
-	for _, c := range []struct {
-		line uint64
-		gen  uint32
-		want int
-	}{{42, 1, w}, {far, 0, f}} {
-		key, ok := packKey(c.line, c.gen)
-		if !ok {
-			t.Fatalf("packKey(%d, %d) does not fit", c.line, c.gen)
+	v.Segments(43, 1)
+	v.Segments(uint64(len(v.gen0))+100, 0)
+	for i, s := range v.gen0 {
+		if s != 0 && i != 42 {
+			t.Fatalf("gen-0 memo slot %d holds %d after queries it does not cover", i, s)
 		}
-		i := memoIdx(key)
-		if v.memoKey[i] != key || v.memoVal[i] != int8(c.want) {
-			t.Fatalf("memo slot for (%d, %d) holds (key %#x, val %d), want (key %#x, val %d)",
-				c.line, c.gen, v.memoKey[i], v.memoVal[i], key, c.want)
+	}
+}
+
+// valuesSink keeps the value models TestValuesFootprint builds on the
+// heap, where their allocations are counted.
+var valuesSink *Values
+
+// TestValuesFootprint bounds what one Values allocates: the dense
+// generation-0 memo (one byte per footprint line) plus a small fixed
+// overhead. Every bvsimd request builds one, so a per-run table added
+// here would come back as a cold-start cost; a 2^17-entry (line, gen)
+// cache once made it 1.25-1.64 MB.
+func TestValuesFootprint(t *testing.T) {
+	for _, name := range []string{"mcf.p1", "wrf.p1", "soplex.p1"} {
+		p, ok := ByName(Suite(), name)
+		if !ok {
+			t.Fatalf("%s missing from suite", name)
+		}
+		const runs = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			valuesSink = p.Values()
+		}
+		runtime.ReadMemStats(&after)
+		limit := uint64(p.TotalLines) + 16<<10
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > limit {
+			t.Errorf("%s: Values allocates %d B, want at most %d (%d footprint lines + 16 KiB)",
+				name, per, limit, p.TotalLines)
 		}
 	}
 }
